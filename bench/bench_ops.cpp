@@ -24,13 +24,20 @@
 ///                 uses it to drive every kernel through ASan/UBSan
 ///   --json[=P]    machine-readable results (benchmark's JSON reporter) to P
 ///                 (default BENCH_ops.json); commit one BENCH_*.json per perf
-///                 PR so the throughput trajectory is recorded in-repo
+///                 PR so the throughput trajectory is recorded in-repo.  The
+///                 context records nproc; with --benchmark_repetitions the
+///                 backend-comparison family also reports a
+///                 median-absolute-deviation aggregate ("mad"), and every run
+///                 of it the host steal share (counter "steal_frac")
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -783,14 +790,16 @@ void BM_BackendPredictBinary(benchmark::State& state, kernels::Backend kind) {
 }
 
 /// The serving inner loop end to end at D = 10000, N = 784, 16 classes —
-/// the acceptance workload for the fused encode->distance path.  `fused`
-/// runs HdcModel::predict_fused (count planes stay in registers/L1, no
-/// query HV materialized); `twostep` runs encode_binary_into + predict.
-/// Both use the BoundProductCache, matching a served session's steady state.
+/// the acceptance workload for the fused encode->distance path.  `on` runs
+/// HdcModel::predict_fused (the encoder's block-major layout streamed
+/// through register-resident count planes, no query HV materialized);
+/// `off` runs encode_binary_into + predict, the two-step path.  Both at a
+/// session's defaults: no BoundProductCache (the fused path never reads it).
+/// The layout is built once, outside the timed loop, like a served
+/// encoder's after its first row.
 struct FusedPredictFixture {
     std::shared_ptr<const hdc::ItemMemory> memory;
     std::unique_ptr<const hdc::RecordEncoder> encoder;
-    std::shared_ptr<const hdc::BoundProductCache> cache;
     hdc::HdcModel model;
     std::vector<int> levels;
 
@@ -802,7 +811,7 @@ struct FusedPredictFixture {
         config.seed = 601;
         memory = std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config));
         encoder = std::make_unique<const hdc::RecordEncoder>(memory, /*tie_seed=*/7);
-        cache = encoder->make_product_cache(std::size_t{1} << 31);
+        (void)encoder->fused_layout();
 
         util::Xoshiro256ss rng(602);
         hdc::EncodedBatch batch;
@@ -833,11 +842,9 @@ void BM_FusedPredict(benchmark::State& state, kernels::Backend kind, bool fused)
     for (auto _ : state) {
         int label;
         if (fused) {
-            label = fixture.model.predict_fused(*fixture.encoder, fixture.levels, scratch,
-                                                fixture.cache.get());
+            label = fixture.model.predict_fused(*fixture.encoder, fixture.levels, scratch);
         } else {
-            fixture.encoder->encode_binary_into(fixture.levels, scratch, query,
-                                                fixture.cache.get());
+            fixture.encoder->encode_binary_into(fixture.levels, scratch, query);
             label = fixture.model.predict(query);
         }
         benchmark::DoNotOptimize(label);
@@ -845,22 +852,80 @@ void BM_FusedPredict(benchmark::State& state, kernels::Backend kind, bool fused)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+/// Aggregate CPU time and its steal part from the `cpu` line of /proc/stat
+/// (invalid where the file is unreadable).
+struct CpuTimes {
+    std::uint64_t steal = 0;
+    std::uint64_t total = 0;
+    bool valid = false;
+};
+
+CpuTimes read_cpu_times() {
+    CpuTimes times;
+    std::ifstream in("/proc/stat");
+    std::string label;
+    if (!(in >> label) || label != "cpu") return times;
+    // user nice system idle iowait irq softirq steal; guest time is already
+    // inside user/nice.
+    std::uint64_t field = 0;
+    for (int i = 0; i < 8 && (in >> field); ++i) {
+        times.total += field;
+        if (i == 7) {
+            times.steal = field;
+            times.valid = true;
+        }
+    }
+    return times;
+}
+
+double steal_share(const CpuTimes& before, const CpuTimes& after) {
+    if (!before.valid || !after.valid || after.total <= before.total) return 0.0;
+    return static_cast<double>(after.steal - before.steal) /
+           static_cast<double>(after.total - before.total);
+}
+
+double median_of(std::vector<double> values) {
+    if (values.empty()) return 0.0;
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 != 0 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/// Median absolute deviation of the repetitions, the spread next to the
+/// median that one slow (stolen) repetition cannot inflate.
+double median_absolute_deviation(const std::vector<double>& values) {
+    const double center = median_of(values);
+    std::vector<double> deviations;
+    deviations.reserve(values.size());
+    for (const double value : values) deviations.push_back(std::abs(value - center));
+    return median_of(std::move(deviations));
+}
+
+/// Registers one comparison benchmark with the steal counter and the MAD
+/// aggregate.
+template <typename... Args>
+void register_comparison(const std::string& name, void (*fn)(benchmark::State&, Args...),
+                         Args... args) {
+    benchmark::RegisterBenchmark(name.c_str(),
+                                 [=](benchmark::State& state) {
+                                     const CpuTimes before = read_cpu_times();
+                                     fn(state, args...);
+                                     state.counters["steal_frac"] =
+                                         steal_share(before, read_cpu_times());
+                                 })
+        ->ComputeStatistics("mad", &median_absolute_deviation);
+}
+
 void register_backend_benchmarks() {
     for (const kernels::Backend kind : kernels::available_backends()) {
         const std::string suffix = std::string("/") + kernels::backend_name(kind);
-        benchmark::RegisterBenchmark(("BM_BackendXor" + suffix).c_str(), BM_BackendXor, kind);
-        benchmark::RegisterBenchmark(("BM_BackendPopcount" + suffix).c_str(), BM_BackendPopcount,
-                                     kind);
-        benchmark::RegisterBenchmark(("BM_BackendHamming" + suffix).c_str(), BM_BackendHamming,
-                                     kind);
-        benchmark::RegisterBenchmark(("BM_BackendEncodeBatch" + suffix).c_str(),
-                                     BM_BackendEncodeBatch, kind);
-        benchmark::RegisterBenchmark(("BM_BackendPredictBinary" + suffix).c_str(),
-                                     BM_BackendPredictBinary, kind);
-        benchmark::RegisterBenchmark(("BM_FusedPredict" + suffix + "/on").c_str(),
-                                     BM_FusedPredict, kind, true);
-        benchmark::RegisterBenchmark(("BM_FusedPredict" + suffix + "/off").c_str(),
-                                     BM_FusedPredict, kind, false);
+        register_comparison("BM_BackendXor" + suffix, BM_BackendXor, kind);
+        register_comparison("BM_BackendPopcount" + suffix, BM_BackendPopcount, kind);
+        register_comparison("BM_BackendHamming" + suffix, BM_BackendHamming, kind);
+        register_comparison("BM_BackendEncodeBatch" + suffix, BM_BackendEncodeBatch, kind);
+        register_comparison("BM_BackendPredictBinary" + suffix, BM_BackendPredictBinary, kind);
+        register_comparison("BM_FusedPredict" + suffix + "/on", BM_FusedPredict, kind, true);
+        register_comparison("BM_FusedPredict" + suffix + "/off", BM_FusedPredict, kind, false);
     }
 }
 
@@ -898,6 +963,7 @@ int main(int argc, char** argv) {
     benchmark::AddCustomContext("kernel_backend_default",
                                 hdlock::util::kernels::active_name());
     benchmark::AddCustomContext("cpu_simd_features", hdlock::util::kernels::cpu_feature_string());
+    benchmark::AddCustomContext("nproc", std::to_string(hdlock::util::hardware_concurrency()));
     if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -464,9 +464,6 @@ std::shared_ptr<const InferenceSession::ServingState> InferenceSession::build_se
     state->discretizer = std::move(discretizer);
     state->model = std::move(model);
     state->backing = std::move(backing);
-    if (use_product_cache_) {
-        state->product_cache = state->encoder->make_product_cache(product_cache_max_bytes_);
-    }
     const bool fusable = state->model.kind() == hdc::ModelKind::binary &&
                          state->encoder->n_features() <= util::kernels::kMaxFusedRows;
     switch (fused_mode_) {
@@ -484,6 +481,12 @@ std::shared_ptr<const InferenceSession::ServingState> InferenceSession::build_se
         case FusedPredict::off:
             state->fused_predict = false;
             break;
+    }
+    // Only the two-step and non-binary paths read the cache; a fused
+    // epoch would build an N x M x D-bit table here (and on every swap)
+    // that nothing reads.
+    if (use_product_cache_ && !state->fused_predict) {
+        state->product_cache = state->encoder->make_product_cache(product_cache_max_bytes_);
     }
     return state;
 }
@@ -551,11 +554,12 @@ int InferenceSession::predict_one_(const ServingState& state, std::span<const fl
     state.discretizer.transform_row(row, levels);
     if (binary) {
         if (state.fused_predict) {
-            // Fused encode→distance: one kernel pass scores every class
-            // while the count planes are register/L1-resident; the query
-            // hypervector never exists.  Bit-identical labels to the
+            // Fused encode→distance: one kernel pass over the encoder's
+            // block-major layout scores every class while the count planes
+            // are in registers; the query hypervector never exists and the
+            // product cache is not read.  Bit-identical labels to the
             // two-step path below on every backend.
-            return state.model.predict_fused(*state.encoder, levels, worker.scratch, cache);
+            return state.model.predict_fused(*state.encoder, levels, worker.scratch);
         }
         state.encoder->encode_binary_into(levels, worker.scratch, worker.query, cache);
         return state.model.predict(worker.query);

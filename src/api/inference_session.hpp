@@ -91,11 +91,15 @@ struct SessionOptions {
     /// handful of rows costs more than it saves.
     std::size_t min_rows_per_thread = 16;
     /// Opt-in hdc::BoundProductCache: precompute all N x M bound products at
-    /// session construction so every served row is pure counter adds (no
-    /// XORs).  Trades N * M * D bits of memory for encode throughput;
-    /// silently skipped when the table would exceed the cap below (the
-    /// session falls back to the fused-XOR path).  Results are bit-identical
-    /// either way.
+    /// session construction so every row the two-step or non-binary path
+    /// encodes is pure counter adds (no XORs).  The fused path
+    /// (fused_predict) never reads the cache, so an epoch served on it
+    /// does not build one: it streams the encoder's block-major layout,
+    /// which measured faster than the N x M table on the 784-feature
+    /// serving shape (the table outgrows L2).  Trades N * M * D bits of
+    /// memory for encode throughput; silently skipped when the table would
+    /// exceed the cap below (the session falls back to the fused-XOR
+    /// encode).  Results are bit-identical either way.
     bool use_product_cache = false;
     /// Byte cap on the product cache (default 256 MiB).
     std::size_t product_cache_max_bytes = std::size_t{256} << 20;
@@ -259,8 +263,9 @@ public:
         hdc::MinMaxDiscretizer discretizer;
         hdc::HdcModel model;
         /// Rebuilt per epoch when SessionOptions::use_product_cache was
-        /// taken (built off the hot path, before install — the old epoch
-        /// serves while this epoch precomputes).
+        /// taken and the epoch is not served fused (built off the hot
+        /// path, before install — the old epoch serves while this epoch
+        /// precomputes).
         std::shared_ptr<const hdc::BoundProductCache> product_cache;
         bool fused_predict = false;
         /// Pins the mmap behind a zero-copy bundle epoch; null when owned.
@@ -320,12 +325,13 @@ public:
     /// model, matching shapes, same feature count as the current epoch, the
     /// configured fused/product-cache options still satisfiable), builds the
     /// new immutable ServingState — product cache precomputed here, while
-    /// the old epoch still serves — and installs it with one atomic
-    /// exchange.  In-flight requests finish on the old epoch's snapshot;
-    /// requests submitted after the swap serve the new epoch; per-slot
-    /// scratch rebuilds lazily on first touch of the new epoch.  Throws
-    /// RotationError on any validation failure, leaving the old epoch
-    /// serving untouched.  Returns the installed epoch.
+    /// the old epoch still serves; the encoder's block-major fused layout
+    /// is not, it builds on the epoch's first fused row — and installs it
+    /// with one atomic exchange.  In-flight requests finish on the old
+    /// epoch's snapshot; requests submitted after the swap serve the new
+    /// epoch; per-slot scratch rebuilds lazily on first touch of the new
+    /// epoch.  Throws RotationError on any validation failure, leaving the
+    /// old epoch serving untouched.  Returns the installed epoch.
     std::uint64_t swap_bundle(BundleSnapshot snapshot) const;
 
     /// The current epoch's immutable serving state (one atomic load).  The
@@ -346,7 +352,8 @@ public:
     std::size_t n_threads() const noexcept { return n_threads_; }
     DispatchMode dispatch_mode() const noexcept { return dispatch_; }
     /// True when the current epoch holds a materialized bound-product cache
-    /// (the opt-in was taken and the table fit under the byte cap).
+    /// (the opt-in was taken, the table fit under the byte cap, and the
+    /// epoch is not served fused, which never reads it).
     bool product_cache_active() const noexcept {
         return serving_state()->product_cache != nullptr;
     }

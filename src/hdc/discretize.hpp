@@ -26,7 +26,8 @@ class MinMaxDiscretizer {
 public:
     MinMaxDiscretizer() = default;
 
-    /// Learns the value range(s) from a training matrix.
+    /// Learns the value range(s) from a training matrix. NaN values are
+    /// skipped; a range that holds only NaN is fitted as [0, 0].
     static MinMaxDiscretizer fit(const util::Matrix<float>& X, std::size_t n_levels,
                                  DiscretizerMode mode = DiscretizerMode::global);
 

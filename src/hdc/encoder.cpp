@@ -1,8 +1,8 @@
 #include "hdc/encoder.hpp"
 
+#include <algorithm>
 #include <bit>
-
-#include "util/kernels.hpp"
+#include <cstdint>
 
 namespace hdlock::hdc {
 
@@ -65,6 +65,47 @@ BoundProductCache::BoundProductCache(std::span<const BinaryHV> feature_hvs,
 }
 
 // ---------------------------------------------------------------------------
+// FusedLayout
+// ---------------------------------------------------------------------------
+
+FusedLayout::FusedLayout(std::span<const BinaryHV> feature_hvs,
+                         std::span<const BinaryHV> value_hvs) {
+    HDLOCK_EXPECTS(!value_hvs.empty(), "FusedLayout: no value hypervectors");
+    const std::size_t dim = value_hvs.front().dim();
+    const std::size_t n_words = bits::word_count(dim);
+    std::vector<const bits::Word*> rows;
+    rows.reserve(std::max(feature_hvs.size(), value_hvs.size()));
+    for (const auto& hv : feature_hvs) {
+        HDLOCK_EXPECTS(hv.dim() == dim, "FusedLayout: feature HV dimension mismatch");
+        rows.push_back(hv.words().data());
+    }
+    for (const auto& hv : value_hvs) {
+        HDLOCK_EXPECTS(hv.dim() == dim, "FusedLayout: value HV dimension mismatch");
+    }
+    namespace kernels = util::kernels;
+    const std::size_t feature_words = kernels::block_major_words(feature_hvs.size(), n_words);
+    const std::size_t value_words = kernels::block_major_words(value_hvs.size(), n_words);
+    // One spare block lets the start move up to the next 64-byte boundary;
+    // feature_words is a whole number of blocks, so the value part is
+    // aligned too.
+    storage_ = std::make_unique_for_overwrite<bits::Word[]>(feature_words + value_words +
+                                                            kernels::kBlockWords);
+    const auto address = reinterpret_cast<std::uintptr_t>(storage_.get());
+    const std::size_t skip = (64 - address % 64) % 64 / sizeof(bits::Word);
+    bits::Word* features = storage_.get() + skip;
+    bits::Word* values = features + feature_words;
+    kernels::pack_block_major(rows.data(), feature_hvs.size(), n_words, features);
+    rows.clear();
+    for (const auto& hv : value_hvs) rows.push_back(hv.words().data());
+    kernels::pack_block_major(rows.data(), value_hvs.size(), n_words, values);
+    rows_.feature_blocks = features;
+    rows_.value_blocks = values;
+    rows_.n_rows = feature_hvs.size();
+    rows_.n_levels = value_hvs.size();
+    rows_.n_words = n_words;
+}
+
+// ---------------------------------------------------------------------------
 // EncoderScratch
 // ---------------------------------------------------------------------------
 
@@ -117,11 +158,11 @@ void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch, 
                        "Encoder::encode_into: product cache built for a different encoder shape");
         // Batch the precomputed products through add_rows: eight-row chunks
         // compress in one csa_rows kernel call instead of eight phase steps.
-        scratch.rows_a_.resize(levels.size());
+        scratch.products_.resize(levels.size());
         for (std::size_t i = 0; i < levels.size(); ++i) {
-            scratch.rows_a_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
+            scratch.products_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
         }
-        counter.add_rows(scratch.rows_a_);
+        counter.add_rows(scratch.products_);
     } else {
         const std::span<const BinaryHV> feature_hvs = feature_hv_array();
         const std::span<const BinaryHV> value_hvs = value_hv_array();
@@ -143,51 +184,30 @@ void Encoder::encode_binary_into(std::span<const int> levels, EncoderScratch& sc
 
 void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
                                  std::span<const BinaryHV> class_hvs,
-                                 std::span<std::uint64_t> distances,
-                                 const BoundProductCache* cache) const {
+                                 std::span<std::uint64_t> distances) const {
     check_levels(levels);
     HDLOCK_EXPECTS(class_hvs.size() == distances.size(),
                    "Encoder::fused_hamming_into: class/distance count mismatch");
     HDLOCK_EXPECTS(levels.size() <= util::kernels::kMaxFusedRows,
                    "Encoder::fused_hamming_into: feature count exceeds the fused-path cap");
     const std::size_t d = dim();
-    for (const BinaryHV& hv : class_hvs) {
-        HDLOCK_EXPECTS(hv.dim() == d, "Encoder::fused_hamming_into: class HV dimension mismatch");
-    }
-
-    const std::size_t n = levels.size();
-    scratch.rows_a_.resize(n);
     scratch.class_rows_.resize(class_hvs.size());
     for (std::size_t c = 0; c < class_hvs.size(); ++c) {
+        HDLOCK_EXPECTS(class_hvs[c].dim() == d,
+                       "Encoder::fused_hamming_into: class HV dimension mismatch");
         scratch.class_rows_[c] = class_hvs[c].words().data();
     }
 
-    // Cached shape: one pointer per precomputed product, rows_b == nullptr.
-    // Uncached shape: feature/value pointer pairs, the kernel XORs them on
-    // load — same fusion the counter path gets from add_xor.
-    const bits::Word* const* rows_b = nullptr;
-    if (cache != nullptr) {
-        HDLOCK_EXPECTS(cache->matches(n_features(), n_levels(), d),
-                       "Encoder::fused_hamming_into: product cache built for a different "
-                       "encoder shape");
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch.rows_a_[i] = cache->product(i, static_cast<std::size_t>(levels[i])).data();
-        }
-    } else {
-        scratch.rows_b_.resize(n);
-        const std::span<const BinaryHV> feature_hvs = feature_hv_array();
-        const std::span<const BinaryHV> value_hvs = value_hv_array();
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch.rows_a_[i] = feature_hvs[i].words().data();
-            scratch.rows_b_[i] = value_hvs[static_cast<std::size_t>(levels[i])].words().data();
-        }
-        rows_b = scratch.rows_b_.data();
-    }
-
+    const util::kernels::BlockMajorRows& rows = fused_layout().rows();
     util::Xoshiro256ss tie_rng(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
-    util::kernels::active().fused_hamming_scores(
-        scratch.rows_a_.data(), rows_b, n, scratch.class_rows_.data(), class_hvs.size(),
-        bits::word_count(d), &resolve_fused_ties, &tie_rng, distances.data());
+    util::kernels::active().fused_hamming_scores(rows, levels.data(), scratch.class_rows_.data(),
+                                                 class_hvs.size(), &resolve_fused_ties, &tie_rng,
+                                                 distances.data());
+}
+
+const FusedLayout& Encoder::fused_layout() const {
+    return fused_layout_.get_or_build(
+        [this] { return FusedLayout(feature_hv_array(), value_hv_array()); });
 }
 
 void Encoder::encode_batch(const util::Matrix<int>& levels_matrix, EncoderScratch& scratch,

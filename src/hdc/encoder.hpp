@@ -18,7 +18,9 @@
 /// encode_binary_batch) additionally reuse an EncoderScratch across rows, so
 /// a served batch performs no per-row heap allocation at all, and can run
 /// against a BoundProductCache that precomputes all N x M bound products —
-/// turning each row into pure counter adds.
+/// turning each row into pure counter adds.  The fused encode→distance path
+/// (fused_hamming_into) instead streams a block-major copy of the same
+/// arrays (FusedLayout), built once per encoder on its first fused call.
 ///
 /// Binarization ties: Eq. 3 assigns sign(0) randomly.  To keep an encoder a
 /// *function* (the same input always yields the same output, as a hardware
@@ -37,7 +39,9 @@
 #include "hdc/hypervector.hpp"
 #include "hdc/item_memory.hpp"
 #include "util/bitslice.hpp"
+#include "util/kernels.hpp"
 #include "util/matrix.hpp"
+#include "util/sync.hpp"
 
 namespace hdlock::hdc {
 
@@ -81,6 +85,28 @@ private:
     std::vector<util::bits::Word> words_;  // (feature, level)-major product rows
 };
 
+/// The block-major serving layout of an encoder's hypervectors (see
+/// util::kernels::BlockMajorRows): the N feature HVs and the M value HVs cut
+/// into 512-bit blocks and stored [block][row][8 words], 64-byte aligned,
+/// the last block zero-padded.  The fused kernel streams one contiguous
+/// block of N rows per step instead of gathering a word group from N
+/// hypervectors spaced a whole HV apart.  About (N + M) * D / 8 bytes.
+class FusedLayout {
+public:
+    /// Spans must be non-empty (values) and uniform in dimension.
+    FusedLayout(std::span<const BinaryHV> feature_hvs, std::span<const BinaryHV> value_hvs);
+
+    const util::kernels::BlockMajorRows& rows() const noexcept { return rows_; }
+
+private:
+    // Over-allocated by one block for alignment; left uninitialized because
+    // the pack writes every word rows_ covers, padding included.  rows_
+    // points into it, which stays valid across a move (copies are deleted
+    // by the unique_ptr).
+    std::unique_ptr<util::bits::Word[]> storage_;
+    util::kernels::BlockMajorRows rows_;
+};
+
 /// Reusable per-worker state for the allocation-free encode paths: the
 /// bit-sliced counter, the non-binary sums buffer feeding binarization, and
 /// a levels buffer callers may use for discretization.  One scratch per
@@ -113,12 +139,8 @@ private:
     std::optional<util::ColumnCounter> counter_;
     IntHV sums_;            // non-binary encoding en route to sign()
     std::vector<int> levels_;
-    // Row-pointer tables for the fused kernel call: the fused path hands the
-    // backend an array of product (or feature/value pair) pointers instead
-    // of streaming rows through the counter.
-    std::vector<const util::bits::Word*> rows_a_;      // products, or feature HVs
-    std::vector<const util::bits::Word*> rows_b_;      // value HVs (uncached fused path)
-    std::vector<const util::bits::Word*> class_rows_;  // class HV word arrays
+    std::vector<const util::bits::Word*> products_;    // cached encode: product rows
+    std::vector<const util::bits::Word*> class_rows_;  // fused path: class HV word arrays
     std::vector<std::uint64_t> distances_;
 };
 
@@ -155,10 +177,11 @@ public:
 
     /// Fused encode→distance: writes Hamming(sign(H_nb), class_hvs[c]) into
     /// distances[c] without ever materializing the query hypervector.  The
-    /// bound products stream once through a register-resident carry-save
-    /// tree inside the kernel backend; binarization and the per-class
-    /// XOR+popcount happen per word block while the count planes are still
-    /// hot (no plane unpack, no sign pass, no query round-trip through
+    /// bound products stream once through register-resident count planes
+    /// inside the kernel backend, read from this encoder's block-major
+    /// FusedLayout (built on the first call); binarization and the per-class
+    /// XOR+popcount happen per 512-bit block while the planes are still in
+    /// registers (no plane unpack, no sign pass, no query round-trip through
     /// memory).  Tie-breaking draws the identical PRNG stream as
     /// encode_binary_into, so on every backend
     ///   distances[c] == class_hvs[c].hamming(encode_binary(levels))
@@ -166,8 +189,17 @@ public:
     /// class_hvs.size() == distances.size().
     void fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
                             std::span<const BinaryHV> class_hvs,
-                            std::span<std::uint64_t> distances,
-                            const BoundProductCache* cache = nullptr) const;
+                            std::span<std::uint64_t> distances) const;
+
+    /// The block-major layout the fused path streams.  Built on first use,
+    /// once per encoder object, thread-safely (concurrent first callers
+    /// wait for one build); every session and shard sharing this encoder
+    /// reuses it, and it is freed with the encoder.  Copies of an encoder
+    /// build their own.
+    const FusedLayout& fused_layout() const;
+
+    /// True once fused_layout() has been built for this object.
+    bool fused_layout_built() const noexcept { return fused_layout_.get() != nullptr; }
 
     /// Batch encode: one IntHV per row of `levels_matrix` (rows x
     /// n_features()), scratch reused across rows.  `out` is resized.
@@ -199,6 +231,7 @@ protected:
 
 private:
     std::uint64_t tie_seed_;
+    mutable util::OnceCell<FusedLayout> fused_layout_;
 };
 
 /// The standard record-based encoder of Sec. 2 (Eq. 2/3): one orthogonal

@@ -19,7 +19,6 @@
 
 namespace hdlock::hdc {
 
-class BoundProductCache;
 class Encoder;
 class EncoderScratch;
 
@@ -79,12 +78,13 @@ public:
     int predict(const BinaryHV& query) const;
 
     /// Fused binary inference: encodes `levels` and scores every class in
-    /// one pass through Encoder::fused_hamming_into — the query hypervector
-    /// is never materialized.  Returns the same argmin as
+    /// one pass through Encoder::fused_hamming_into (the encoder's
+    /// block-major FusedLayout) — the query hypervector is never
+    /// materialized.  Returns the same argmin as
     /// predict(encoder.encode_binary(levels)) on every kernel backend (same
     /// distances, same strict-< first-wins tie order).  Binary models only.
     int predict_fused(const Encoder& encoder, std::span<const int> levels,
-                      EncoderScratch& scratch, const BoundProductCache* cache = nullptr) const;
+                      EncoderScratch& scratch) const;
 
     /// Batch inference over already-encoded queries (one label per query,
     /// in order).  The serving path: pairs with Encoder::encode_batch /

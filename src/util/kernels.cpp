@@ -1,9 +1,11 @@
 #include "util/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -105,13 +107,131 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, 0, n);
 }
 
-void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
-                          std::size_t n_rows, const Word* const* class_rows,
-                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
+/// Ripples a carry word of weight 2^start into the bit-sliced count planes.
+/// The chain always dies before plane Planes: column counts never exceed
+/// n_rows < 2^Planes.
+template <std::size_t Planes>
+void ripple(Word* planes, std::size_t start, Word carry) noexcept {
+    for (std::size_t p = start; p < Planes && carry != 0; ++p) {
+        const Word sum = planes[p] ^ carry;
+        carry &= planes[p];
+        planes[p] = sum;
+    }
+}
+
+/// The fused kernel over every block, bit_width(n_rows) == Planes.  Each
+/// step walks one block's rows eight at a time and runs the CSA tree on
+/// all eight words of the block, so the rows are read in layout order.
+template <std::size_t Planes>
+void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
+                  std::size_t n_classes, TieResolver ties, void* tie_ctx,
+                  std::uint64_t* distances) noexcept {
+    const std::size_t n_rows = rows.n_rows;
+    const Word threshold = n_rows / 2;
+    const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
+        const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
+        const auto bound = [&](std::size_t r, std::size_t k) {
+            return feature[r * kBlockWords + k] ^
+                   value[static_cast<std::size_t>(levels[r]) * kBlockWords + k];
+        };
+        Word planes[kBlockWords][Planes] = {};
+        Word ones[kBlockWords] = {};
+        Word twos[kBlockWords] = {};
+        Word fours[kBlockWords] = {};
+        std::size_t r = 0;
+        for (; r + 8 <= n_rows; r += 8) {
+            for (std::size_t k = 0; k < kBlockWords; ++k) {
+                Word x[8];
+                for (std::size_t j = 0; j < 8; ++j) x[j] = bound(r + j, k);
+                // Same tree as csa_rows_words, registers only.
+                Word one = ones[k];
+                Word two = twos[k];
+                Word u = one ^ x[0];
+                const Word twos_a = (one & x[0]) | (u & x[1]);
+                one = u ^ x[1];
+                u = one ^ x[2];
+                const Word twos_b = (one & x[2]) | (u & x[3]);
+                one = u ^ x[3];
+                Word u2 = two ^ twos_a;
+                const Word fours_a = (two & twos_a) | (u2 & twos_b);
+                two = u2 ^ twos_b;
+                u = one ^ x[4];
+                const Word twos_c = (one & x[4]) | (u & x[5]);
+                one = u ^ x[5];
+                u = one ^ x[6];
+                const Word twos_d = (one & x[6]) | (u & x[7]);
+                one = u ^ x[7];
+                u2 = two ^ twos_c;
+                const Word fours_b = (two & twos_c) | (u2 & twos_d);
+                two = u2 ^ twos_d;
+                const Word u3 = fours[k] ^ fours_a;
+                const Word carry = (fours[k] & fours_a) | (u3 & fours_b);
+                fours[k] = u3 ^ fours_b;
+                ones[k] = one;
+                twos[k] = two;
+                ripple<Planes>(planes[k], 3, carry);
+            }
+        }
+        for (; r < n_rows; ++r) {
+            for (std::size_t k = 0; k < kBlockWords; ++k) {
+                const Word x = bound(r, k);
+                const Word c1 = ones[k] & x;
+                ones[k] ^= x;
+                const Word c2 = twos[k] & c1;
+                twos[k] ^= c1;
+                const Word c3 = fours[k] & c2;
+                fours[k] ^= c2;
+                ripple<Planes>(planes[k], 3, c3);
+            }
+        }
+        const std::size_t w0 = b * kBlockWords;
+        const std::size_t n_valid = std::min(kBlockWords, rows.n_words - w0);
+        for (std::size_t k = 0; k < n_valid; ++k) {
+            ripple<Planes>(planes[k], 0, ones[k]);
+            ripple<Planes>(planes[k], 1, twos[k]);
+            ripple<Planes>(planes[k], 2, fours[k]);
+            // Binarize without unpacking: a bit-sliced lexicographic compare
+            // of the per-column counts against the threshold, MSB plane
+            // first.  A set query bit means count > n_rows/2, i.e. a
+            // negative bipolar sum.
+            Word gt = 0;
+            Word eq = ~Word{0};
+            for (std::size_t p = Planes; p-- > 0;) {
+                const Word t = ((threshold >> p) & 1u) != 0 ? ~Word{0} : Word{0};
+                gt |= eq & planes[k][p] & ~t;
+                eq &= ~(planes[k][p] ^ t);
+            }
+            Word query = gt;
+            if (can_tie && eq != 0) query |= ties(tie_ctx, eq, w0 + k) & eq;
+            for (std::size_t c = 0; c < n_classes; ++c) {
+                distances[c] +=
+                    static_cast<std::uint64_t>(std::popcount(query ^ class_rows[c][w0 + k]));
+            }
+        }
+    }
+}
+
+using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
+                               std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+
+/// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
+constexpr FusedBlocksFn kFusedByPlanes[16] = {
+    &fused_blocks<1>,  &fused_blocks<2>,  &fused_blocks<3>,  &fused_blocks<4>,
+    &fused_blocks<5>,  &fused_blocks<6>,  &fused_blocks<7>,  &fused_blocks<8>,
+    &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
+    &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
+};
+
+void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
+                          const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
-    detail::fused_hamming_words(rows_a, rows_b, n_rows, class_rows, n_classes, 0, n_words, ties,
-                                tie_ctx, distances);
+    if (rows.n_rows == 0) return;
+    kFusedByPlanes[std::bit_width(rows.n_rows) - 1](rows, levels, class_rows, n_classes, ties,
+                                                    tie_ctx, distances);
 }
 
 }  // namespace portable
@@ -158,98 +278,34 @@ void csa_rows_words(Word* ones, Word* twos, Word* fours, Word* carry_out,
     }
 }
 
-namespace {
-
-/// Ripples a carry word of weight 2^start into the bit-sliced count planes.
-/// The chain always dies before plane n_planes: column counts never exceed
-/// n_rows < 2^n_planes.
-inline void ripple(Word* planes, std::size_t n_planes, std::size_t start, Word carry) noexcept {
-    for (std::size_t p = start; p < n_planes && carry != 0; ++p) {
-        const Word sum = planes[p] ^ carry;
-        carry &= planes[p];
-        planes[p] = sum;
-    }
-}
-
-}  // namespace
-
-void fused_hamming_words(const Word* const* rows_a, const Word* const* rows_b,
-                         std::size_t n_rows, const Word* const* class_rows,
-                         std::size_t n_classes, std::size_t word_begin, std::size_t word_end,
-                         TieResolver ties, void* tie_ctx, std::uint64_t* distances) noexcept {
-    if (word_begin >= word_end || n_rows == 0) return;
-    const auto n_planes = static_cast<std::size_t>(std::bit_width(n_rows));
-    const Word threshold = n_rows / 2;
-    const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
-    Word planes[16];  // kMaxFusedRows caps counts at 16 bits
-    for (std::size_t w = word_begin; w < word_end; ++w) {
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = 0;
-        Word ones = 0;
-        Word twos = 0;
-        Word fours = 0;
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            Word x[8];
-            for (std::size_t k = 0; k < 8; ++k) {
-                x[k] = rows_b == nullptr ? rows_a[r + k][w]
-                                         : rows_a[r + k][w] ^ rows_b[r + k][w];
-            }
-            // Same tree as csa_rows_words, registers only.
-            Word u = ones ^ x[0];
-            const Word twos_a = (ones & x[0]) | (u & x[1]);
-            ones = u ^ x[1];
-            u = ones ^ x[2];
-            const Word twos_b = (ones & x[2]) | (u & x[3]);
-            ones = u ^ x[3];
-            Word u2 = twos ^ twos_a;
-            const Word fours_a = (twos & twos_a) | (u2 & twos_b);
-            twos = u2 ^ twos_b;
-            u = ones ^ x[4];
-            const Word twos_c = (ones & x[4]) | (u & x[5]);
-            ones = u ^ x[5];
-            u = ones ^ x[6];
-            const Word twos_d = (ones & x[6]) | (u & x[7]);
-            ones = u ^ x[7];
-            u2 = twos ^ twos_c;
-            const Word fours_b = (twos & twos_c) | (u2 & twos_d);
-            twos = u2 ^ twos_d;
-            const Word u3 = fours ^ fours_a;
-            const Word carry = (fours & fours_a) | (u3 & fours_b);
-            fours = u3 ^ fours_b;
-            ripple(planes, n_planes, 3, carry);
-        }
-        for (; r < n_rows; ++r) {
-            const Word x = rows_b == nullptr ? rows_a[r][w] : rows_a[r][w] ^ rows_b[r][w];
-            const Word c1 = ones & x;
-            ones ^= x;
-            const Word c2 = twos & c1;
-            twos ^= c1;
-            const Word c3 = fours & c2;
-            fours ^= c2;
-            ripple(planes, n_planes, 3, c3);
-        }
-        ripple(planes, n_planes, 0, ones);
-        ripple(planes, n_planes, 1, twos);
-        ripple(planes, n_planes, 2, fours);
-        // Binarize without unpacking: a bit-sliced lexicographic compare of
-        // the per-column counts against the threshold, MSB plane first.  A
-        // set query bit means count > n_rows/2, i.e. a negative bipolar sum.
-        Word gt = 0;
-        Word eq = ~Word{0};
-        for (std::size_t p = n_planes; p-- > 0;) {
-            const Word t = ((threshold >> p) & 1u) != 0 ? ~Word{0} : Word{0};
-            gt |= eq & planes[p] & ~t;
-            eq &= ~(planes[p] ^ t);
-        }
-        Word query = gt;
-        if (can_tie && eq != 0) query |= ties(tie_ctx, eq, w) & eq;
-        for (std::size_t c = 0; c < n_classes; ++c) {
-            distances[c] += static_cast<std::uint64_t>(std::popcount(query ^ class_rows[c][w]));
-        }
-    }
-}
-
 }  // namespace detail
+
+std::size_t block_major_words(std::size_t n_rows, std::size_t n_words) noexcept {
+    return (n_words + kBlockWords - 1) / kBlockWords * n_rows * kBlockWords;
+}
+
+void pack_block_major(const Word* const* rows, std::size_t n_rows, std::size_t n_words,
+                      Word* out) noexcept {
+    // Row-major walk: one sequential read stream and one sequential write
+    // stream per block (the block-major walk would gather from n_rows
+    // streams instead, the very pattern the layout exists to avoid).
+    const std::size_t n_full = n_words / kBlockWords;
+    const std::size_t tail = n_words % kBlockWords;
+    const std::size_t block_stride = n_rows * kBlockWords;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        const Word* row = rows[r];
+        Word* dst = out + r * kBlockWords;
+        for (std::size_t b = 0; b < n_full; ++b, dst += block_stride) {
+            // A fixed-size memcpy inlines to vector moves; copy_n lowers to
+            // an out-of-line memmove call per block.
+            std::memcpy(dst, row + b * kBlockWords, kBlockWords * sizeof(Word));
+        }
+        if (tail != 0) {
+            std::copy_n(row + n_full * kBlockWords, tail, dst);
+            std::fill(dst + tail, dst + kBlockWords, Word{0});
+        }
+    }
+}
 
 const KernelBackend& portable_backend() noexcept {
     static constexpr KernelBackend backend{

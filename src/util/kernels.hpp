@@ -73,6 +73,24 @@ inline constexpr std::size_t kMaxFusedRows = 65535;
 /// RNG lives outside the ISA translation units.
 using TieResolver = Word (*)(void* ctx, Word eq_mask, std::size_t word_index) noexcept;
 
+/// Words per block of the block-major serving layout: 512 bits, the widest
+/// vector of any backend.  Fixed for every backend, so one layout serves
+/// all of them (the backend can change at runtime; the layout cannot).
+inline constexpr std::size_t kBlockWords = 8;
+
+/// The block-major serving layout fused_hamming_scores streams (built once
+/// per encoder, see hdc::Encoder::fused_layout): every row cut into
+/// 512-bit blocks and stored [block][row][kBlockWords words], so one step
+/// of the kernel reads a contiguous run of n_rows blocks.  The words past
+/// n_words in the last block are zero.  Plain data: the kernels only read it.
+struct BlockMajorRows {
+    const Word* feature_blocks = nullptr;  ///< n_blocks x n_rows x kBlockWords
+    const Word* value_blocks = nullptr;    ///< n_blocks x n_levels x kBlockWords
+    std::size_t n_rows = 0;                ///< feature rows (N)
+    std::size_t n_levels = 0;              ///< value rows (M)
+    std::size_t n_words = 0;               ///< real words per row
+};
+
 /// The word-kernel vtable.  Raw pointers + lengths on purpose: the ISA
 /// translation units must not instantiate inline std templates under
 /// -mavx2/-mavx512 (an inline function compiled twice with different ISAs is
@@ -131,26 +149,41 @@ struct KernelBackend {
     void (*csa_rows)(Word* ones, Word* twos, Word* fours, Word* carry_out,
                      const Word* const* rows, std::size_t n) noexcept;
 
-    /// The fused encode→distance kernel: accumulates n_rows bit rows
-    /// (rows_a[r], XORed with rows_b[r] when rows_b != nullptr — the bind
-    /// step of the uncached encode path), binarizes the per-column counts
-    /// against n_rows / 2, and scores the never-materialized query against
-    /// n_classes class hypervectors:
+    /// The fused encode→distance kernel: accumulates the n_rows bound rows
+    /// feature[r] ^ value[levels[r]] (the bind step of Eq. 2, XORed on
+    /// load), binarizes the per-column counts against n_rows / 2, and scores
+    /// the never-materialized query against n_classes class hypervectors:
     ///   distances[c] = Hamming(sign(sum of rows), class_rows[c])
-    /// Per word block the Harley–Seal count planes live in registers/L1; the
-    /// query bits come from a bit-sliced lexicographic compare of the planes
-    /// against the threshold, ties (count == n_rows/2, even n_rows only) go
-    /// through `ties` (see TieResolver; may be nullptr when n_rows is odd).
-    /// Requirements: 1 <= n_rows <= kMaxFusedRows; rows carry clean tails
-    /// (tail columns count 0 and can never tie, so the query tail stays
-    /// clean and class tails must be clean too, as BinaryHV guarantees).
-    /// Bit-identical to encode_binary_into + per-class hamming() on every
-    /// backend, including the RNG draw order of tie breaks.
-    void (*fused_hamming_scores)(const Word* const* rows_a, const Word* const* rows_b,
-                                 std::size_t n_rows, const Word* const* class_rows,
-                                 std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                                 void* tie_ctx, std::uint64_t* distances) noexcept;
+    /// The rows come in the block-major layout (BlockMajorRows): one step
+    /// streams a contiguous block of n_rows 512-bit rows through Harley–Seal
+    /// count planes whose number, bit_width(n_rows), is a compile-time
+    /// constant per instantiation, so the planes stay in registers.  The
+    /// query bits come from a bit-sliced compare of the planes against the
+    /// threshold; ties (count == n_rows/2, even n_rows only) go through
+    /// `ties` (see TieResolver; may be nullptr when n_rows is odd).  Padded
+    /// words of the last block are masked out of the compare, so the
+    /// resolver sees real words only, and class rows are read only up to
+    /// n_words.  Requirements: rows.n_rows <= kMaxFusedRows; every level in
+    /// [0, rows.n_levels); rows carry clean tails (tail columns count 0 and
+    /// can never tie, so the query tail stays clean and class tails must be
+    /// clean too, as BinaryHV guarantees).  n_rows == 0 yields all-zero
+    /// distances.  Bit-identical to encode_binary_into + per-class hamming()
+    /// on every backend, including the RNG draw order of tie breaks.
+    void (*fused_hamming_scores)(const BlockMajorRows& rows, const int* levels,
+                                 const Word* const* class_rows, std::size_t n_classes,
+                                 TieResolver ties, void* tie_ctx,
+                                 std::uint64_t* distances) noexcept;
 };
+
+/// Words of a block-major layout of n_rows rows of n_words words each
+/// (blocks x n_rows x kBlockWords).
+std::size_t block_major_words(std::size_t n_rows, std::size_t n_words) noexcept;
+
+/// Writes rows[r][0..n_words) into `out` in block-major order, zeroing the
+/// padded words of the last block; `out` holds
+/// block_major_words(n_rows, n_words) words.
+void pack_block_major(const Word* const* rows, std::size_t n_rows, std::size_t n_words,
+                      Word* out) noexcept;
 
 /// The reference backend (always available).
 const KernelBackend& portable_backend() noexcept;
@@ -246,13 +279,6 @@ namespace detail {
 void csa_rows_words(Word* ones, Word* twos, Word* fours, Word* carry_out,
                     const Word* const* rows, std::size_t word_begin,
                     std::size_t word_end) noexcept;
-
-/// fused_hamming_scores over words [word_begin, word_end), accumulating into
-/// distances (the caller zeroes them once up front).
-void fused_hamming_words(const Word* const* rows_a, const Word* const* rows_b,
-                         std::size_t n_rows, const Word* const* class_rows,
-                         std::size_t n_classes, std::size_t word_begin, std::size_t word_end,
-                         TieResolver ties, void* tie_ctx, std::uint64_t* distances) noexcept;
 
 }  // namespace detail
 

@@ -298,129 +298,143 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
 }
 
-template <bool Fused>
-__m256i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
-                 std::size_t w) noexcept {
-    const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows_a[r] + w));
-    if constexpr (!Fused) return a;
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows_b[r] + w));
-    return _mm256_xor_si256(a, b);
+/// Ripples a weight-2^Start carry through planes [Start, Planes).
+template <std::size_t Start, std::size_t Planes>
+void ripple(__m256i (&planes)[Planes], __m256i carry) noexcept {
+    for (std::size_t p = Start; p < Planes; ++p) {
+        const __m256i sum = _mm256_xor_si256(planes[p], carry);
+        carry = _mm256_and_si256(planes[p], carry);
+        planes[p] = sum;
+    }
 }
 
-template <bool Fused>
-void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* rows_b,
-                               std::size_t n_rows, const Word* const* class_rows,
-                               std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                               void* tie_ctx, std::uint64_t* distances) noexcept {
-    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+/// The fused kernel over every block, bit_width(n_rows) == Planes.  A
+/// 512-bit block is two ymm halves; with 16 ymm registers one half's count
+/// planes and CSA state already fill the file, so each block is walked
+/// once per half (the second walk reads the block from L1/L2), low half
+/// first to keep the tie resolver's ascending word order.
+template <std::size_t Planes>
+void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
+                  std::size_t n_classes, TieResolver ties, void* tie_ctx,
+                  std::uint64_t* distances) noexcept {
+    const std::size_t n_rows = rows.n_rows;
     const Word threshold = n_rows / 2;
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
-    std::size_t w = 0;
-    for (; w + 4 <= n_words; w += 4) {
-        // Per four-word block: planes past the 16-ymm register file spill to
-        // the stack, but stay L1-hot — they are touched once per 8 rows.
-        __m256i planes[16];
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = _mm256_setzero_si256();
-        __m256i ones = _mm256_setzero_si256();
-        __m256i twos = _mm256_setzero_si256();
-        __m256i fours = _mm256_setzero_si256();
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            const __m256i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-            const __m256i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
-            const __m256i twos_a = csa_carry(ones, x0, x1);
-            ones = csa_sum(ones, x0, x1);
-            const __m256i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-            const __m256i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
-            const __m256i twos_b = csa_carry(ones, x2, x3);
-            ones = csa_sum(ones, x2, x3);
-            const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
-            twos = csa_sum(twos, twos_a, twos_b);
-            const __m256i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-            const __m256i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
-            const __m256i twos_c = csa_carry(ones, x4, x5);
-            ones = csa_sum(ones, x4, x5);
-            const __m256i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-            const __m256i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
-            const __m256i twos_d = csa_carry(ones, x6, x7);
-            ones = csa_sum(ones, x6, x7);
-            const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
-            twos = csa_sum(twos, twos_c, twos_d);
-            __m256i carry = csa_carry(fours, fours_a, fours_b);
-            fours = csa_sum(fours, fours_a, fours_b);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m256i sum = _mm256_xor_si256(planes[p], carry);
-                carry = _mm256_and_si256(planes[p], carry);
-                planes[p] = sum;
+    const __m256i lane_index = _mm256_setr_epi64x(0, 1, 2, 3);
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        for (std::size_t half = 0; half < 2; ++half) {
+            const std::size_t w = b * kBlockWords + half * 4;
+            if (w >= rows.n_words) break;  // an all-padding half
+            const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + half * 4;
+            const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + half * 4;
+            const auto bound = [&](std::size_t r) {
+                const __m256i f =
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(feature + r * kBlockWords));
+                const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                    value + static_cast<std::size_t>(levels[r]) * kBlockWords));
+                return _mm256_xor_si256(f, v);
+            };
+            __m256i planes[Planes];
+            for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm256_setzero_si256();
+            __m256i ones = _mm256_setzero_si256();
+            __m256i twos = _mm256_setzero_si256();
+            __m256i fours = _mm256_setzero_si256();
+            std::size_t r = 0;
+            for (; r + 8 <= n_rows; r += 8) {
+                const __m256i x0 = bound(r + 0);
+                const __m256i x1 = bound(r + 1);
+                const __m256i twos_a = csa_carry(ones, x0, x1);
+                ones = csa_sum(ones, x0, x1);
+                const __m256i x2 = bound(r + 2);
+                const __m256i x3 = bound(r + 3);
+                const __m256i twos_b = csa_carry(ones, x2, x3);
+                ones = csa_sum(ones, x2, x3);
+                const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
+                twos = csa_sum(twos, twos_a, twos_b);
+                const __m256i x4 = bound(r + 4);
+                const __m256i x5 = bound(r + 5);
+                const __m256i twos_c = csa_carry(ones, x4, x5);
+                ones = csa_sum(ones, x4, x5);
+                const __m256i x6 = bound(r + 6);
+                const __m256i x7 = bound(r + 7);
+                const __m256i twos_d = csa_carry(ones, x6, x7);
+                ones = csa_sum(ones, x6, x7);
+                const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
+                twos = csa_sum(twos, twos_c, twos_d);
+                const __m256i carry = csa_carry(fours, fours_a, fours_b);
+                fours = csa_sum(fours, fours_a, fours_b);
+                ripple<3>(planes, carry);
             }
-        }
-        for (; r < n_rows; ++r) {
-            const __m256i x = load_row<Fused>(rows_a, rows_b, r, w);
-            __m256i carry = _mm256_and_si256(ones, x);
-            ones = _mm256_xor_si256(ones, x);
-            const __m256i c2 = _mm256_and_si256(twos, carry);
-            twos = _mm256_xor_si256(twos, carry);
-            carry = _mm256_and_si256(fours, c2);
-            fours = _mm256_xor_si256(fours, c2);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m256i sum = _mm256_xor_si256(planes[p], carry);
-                carry = _mm256_and_si256(planes[p], carry);
-                planes[p] = sum;
+            for (; r < n_rows; ++r) {
+                const __m256i x = bound(r);
+                const __m256i c1 = _mm256_and_si256(ones, x);
+                ones = _mm256_xor_si256(ones, x);
+                const __m256i c2 = _mm256_and_si256(twos, c1);
+                twos = _mm256_xor_si256(twos, c1);
+                const __m256i c3 = _mm256_and_si256(fours, c2);
+                fours = _mm256_xor_si256(fours, c2);
+                ripple<3>(planes, c3);
             }
-        }
-        const __m256i carries[3] = {ones, twos, fours};
-        for (std::size_t start = 0; start < 3; ++start) {
-            __m256i carry = carries[start];
-            for (std::size_t p = start; p < n_planes; ++p) {
-                const __m256i sum = _mm256_xor_si256(planes[p], carry);
-                carry = _mm256_and_si256(planes[p], carry);
-                planes[p] = sum;
+            ripple<0>(planes, ones);
+            ripple<1>(planes, twos);
+            ripple<2>(planes, fours);
+            // Bit-sliced count > / == threshold, MSB plane first.
+            __m256i gt = _mm256_setzero_si256();
+            __m256i eq = _mm256_set1_epi64x(-1);
+            for (std::size_t p = Planes; p-- > 0;) {
+                if (((threshold >> p) & 1u) != 0) {
+                    eq = _mm256_and_si256(eq, planes[p]);
+                } else {
+                    gt = _mm256_or_si256(gt, _mm256_and_si256(eq, planes[p]));
+                    eq = _mm256_andnot_si256(planes[p], eq);
+                }
             }
-        }
-        // Bit-sliced count > / == threshold, MSB plane first.
-        __m256i gt = _mm256_setzero_si256();
-        __m256i eq = _mm256_set1_epi64x(-1);
-        for (std::size_t p = n_planes; p-- > 0;) {
-            if (((threshold >> p) & 1u) != 0) {
-                eq = _mm256_and_si256(eq, planes[p]);
-            } else {
-                gt = _mm256_or_si256(gt, _mm256_and_si256(eq, planes[p]));
-                eq = _mm256_andnot_si256(planes[p], eq);
+            // Padded words of the last block leave the compare here.
+            const auto n_valid = static_cast<long long>(rows.n_words - w);
+            const __m256i valid = _mm256_cmpgt_epi64(_mm256_set1_epi64x(n_valid), lane_index);
+            gt = _mm256_and_si256(gt, valid);
+            eq = _mm256_and_si256(eq, valid);
+            __m256i query = gt;
+            if (can_tie && _mm256_testz_si256(eq, eq) == 0) {
+                alignas(32) Word eq_words[4];
+                alignas(32) Word tie_words[4];
+                _mm256_store_si256(reinterpret_cast<__m256i*>(eq_words), eq);
+                for (std::size_t k = 0; k < 4; ++k) {
+                    tie_words[k] =
+                        eq_words[k] == 0 ? 0 : (ties(tie_ctx, eq_words[k], w + k) & eq_words[k]);
+                }
+                query = _mm256_or_si256(
+                    query, _mm256_load_si256(reinterpret_cast<const __m256i*>(tie_words)));
             }
-        }
-        __m256i query = gt;
-        if (can_tie && _mm256_testz_si256(eq, eq) == 0) {
-            alignas(32) Word eq_words[4];
-            alignas(32) Word tie_words[4];
-            _mm256_store_si256(reinterpret_cast<__m256i*>(eq_words), eq);
-            for (std::size_t k = 0; k < 4; ++k) {
-                tie_words[k] =
-                    eq_words[k] == 0 ? 0 : (ties(tie_ctx, eq_words[k], w + k) & eq_words[k]);
+            for (std::size_t c = 0; c < n_classes; ++c) {
+                const __m256i cls = _mm256_maskload_epi64(
+                    reinterpret_cast<const long long*>(class_rows[c] + w), valid);
+                distances[c] += static_cast<std::uint64_t>(
+                    reduce_epi64(popcount_bytes_sad(_mm256_xor_si256(query, cls))));
             }
-            query = _mm256_or_si256(query,
-                                    _mm256_load_si256(reinterpret_cast<const __m256i*>(tie_words)));
-        }
-        for (std::size_t c = 0; c < n_classes; ++c) {
-            const __m256i x = _mm256_xor_si256(
-                query, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(class_rows[c] + w)));
-            distances[c] += static_cast<std::uint64_t>(reduce_epi64(popcount_bytes_sad(x)));
         }
     }
-    detail::fused_hamming_words(rows_a, rows_b, n_rows, class_rows, n_classes, w, n_words, ties,
-                                tie_ctx, distances);
 }
 
-void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
-                          std::size_t n_rows, const Word* const* class_rows,
-                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
+using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
+                               std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+
+/// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
+constexpr FusedBlocksFn kFusedByPlanes[16] = {
+    &fused_blocks<1>,  &fused_blocks<2>,  &fused_blocks<3>,  &fused_blocks<4>,
+    &fused_blocks<5>,  &fused_blocks<6>,  &fused_blocks<7>,  &fused_blocks<8>,
+    &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
+    &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
+};
+
+void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
+                          const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
-    if (n_rows == 0) return;
-    rows_b == nullptr
-        ? fused_hamming_scores_impl<false>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                           n_words, ties, tie_ctx, distances)
-        : fused_hamming_scores_impl<true>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                          n_words, ties, tie_ctx, distances);
+    if (rows.n_rows == 0) return;
+    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(rows.n_rows));
+    kFusedByPlanes[n_planes - 1](rows, levels, class_rows, n_classes, ties, tie_ctx, distances);
 }
 
 constexpr KernelBackend kBackend{

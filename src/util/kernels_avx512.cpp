@@ -267,89 +267,84 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
 }
 
-template <bool Fused>
-__m512i load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
-                 std::size_t w) noexcept {
-    const __m512i a = _mm512_loadu_si512(rows_a[r] + w);
-    if constexpr (!Fused) return a;
-    return _mm512_xor_si512(a, _mm512_loadu_si512(rows_b[r] + w));
+/// Ripples a weight-2^Start carry through planes [Start, Planes).
+template <std::size_t Start, std::size_t Planes>
+void ripple(__m512i (&planes)[Planes], __m512i carry) noexcept {
+    for (std::size_t p = Start; p < Planes; ++p) {
+        const __m512i sum = _mm512_xor_si512(planes[p], carry);
+        carry = _mm512_and_si512(planes[p], carry);
+        planes[p] = sum;
+    }
 }
 
-template <bool Fused>
-void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* rows_b,
-                               std::size_t n_rows, const Word* const* class_rows,
-                               std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                               void* tie_ctx, std::uint64_t* distances) noexcept {
-    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+/// The fused kernel over every block, bit_width(n_rows) == Planes.  One
+/// block is one zmm per row: with Planes a compile-time constant the count
+/// planes, ones/twos/fours and the CSA temps stay in the 32-register file
+/// (the ripple loops unroll), and the rows stream in layout order.
+template <std::size_t Planes>
+void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
+                  std::size_t n_classes, TieResolver ties, void* tie_ctx,
+                  std::uint64_t* distances) noexcept {
+    const std::size_t n_rows = rows.n_rows;
     const Word threshold = n_rows / 2;
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
-    std::size_t w = 0;
-    for (; w + 8 <= n_words; w += 8) {
-        // Per eight-word block the count planes live in zmm registers/L1:
-        // n_planes + ones/twos/fours + CSA temps stays within the 32-register
-        // file up to ~1k rows (see DESIGN.md register pressure math).
-        __m512i planes[16];
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = _mm512_setzero_si512();
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
+        const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
+        const auto bound = [&](std::size_t r) {
+            return _mm512_xor_si512(
+                _mm512_loadu_si512(feature + r * kBlockWords),
+                _mm512_loadu_si512(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
+        };
+        __m512i planes[Planes];
+        for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm512_setzero_si512();
         __m512i ones = _mm512_setzero_si512();
         __m512i twos = _mm512_setzero_si512();
         __m512i fours = _mm512_setzero_si512();
         std::size_t r = 0;
         for (; r + 8 <= n_rows; r += 8) {
-            const __m512i x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-            const __m512i x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
+            const __m512i x0 = bound(r + 0);
+            const __m512i x1 = bound(r + 1);
             const __m512i twos_a = csa_carry(ones, x0, x1);
             ones = csa_sum(ones, x0, x1);
-            const __m512i x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-            const __m512i x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
+            const __m512i x2 = bound(r + 2);
+            const __m512i x3 = bound(r + 3);
             const __m512i twos_b = csa_carry(ones, x2, x3);
             ones = csa_sum(ones, x2, x3);
             const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
             twos = csa_sum(twos, twos_a, twos_b);
-            const __m512i x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-            const __m512i x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
+            const __m512i x4 = bound(r + 4);
+            const __m512i x5 = bound(r + 5);
             const __m512i twos_c = csa_carry(ones, x4, x5);
             ones = csa_sum(ones, x4, x5);
-            const __m512i x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-            const __m512i x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
+            const __m512i x6 = bound(r + 6);
+            const __m512i x7 = bound(r + 7);
             const __m512i twos_d = csa_carry(ones, x6, x7);
             ones = csa_sum(ones, x6, x7);
             const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
             twos = csa_sum(twos, twos_c, twos_d);
-            __m512i carry = csa_carry(fours, fours_a, fours_b);
+            const __m512i carry = csa_carry(fours, fours_a, fours_b);
             fours = csa_sum(fours, fours_a, fours_b);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m512i sum = _mm512_xor_si512(planes[p], carry);
-                carry = _mm512_and_si512(planes[p], carry);
-                planes[p] = sum;
-            }
+            ripple<3>(planes, carry);
         }
         for (; r < n_rows; ++r) {
-            const __m512i x = load_row<Fused>(rows_a, rows_b, r, w);
-            __m512i carry = _mm512_and_si512(ones, x);
+            const __m512i x = bound(r);
+            const __m512i c1 = _mm512_and_si512(ones, x);
             ones = _mm512_xor_si512(ones, x);
-            const __m512i c2 = _mm512_and_si512(twos, carry);
-            twos = _mm512_xor_si512(twos, carry);
-            carry = _mm512_and_si512(fours, c2);
+            const __m512i c2 = _mm512_and_si512(twos, c1);
+            twos = _mm512_xor_si512(twos, c1);
+            const __m512i c3 = _mm512_and_si512(fours, c2);
             fours = _mm512_xor_si512(fours, c2);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const __m512i sum = _mm512_xor_si512(planes[p], carry);
-                carry = _mm512_and_si512(planes[p], carry);
-                planes[p] = sum;
-            }
+            ripple<3>(planes, c3);
         }
-        __m512i carries[3] = {ones, twos, fours};
-        for (std::size_t start = 0; start < 3; ++start) {
-            __m512i carry = carries[start];
-            for (std::size_t p = start; p < n_planes; ++p) {
-                const __m512i sum = _mm512_xor_si512(planes[p], carry);
-                carry = _mm512_and_si512(planes[p], carry);
-                planes[p] = sum;
-            }
-        }
+        ripple<0>(planes, ones);
+        ripple<1>(planes, twos);
+        ripple<2>(planes, fours);
         // Bit-sliced count > / == threshold, MSB plane first.
         __m512i gt = _mm512_setzero_si512();
         __m512i eq = _mm512_set1_epi64(-1);
-        for (std::size_t p = n_planes; p-- > 0;) {
+        for (std::size_t p = Planes; p-- > 0;) {
             if (((threshold >> p) & 1u) != 0) {
                 eq = _mm512_and_si512(eq, planes[p]);
             } else {
@@ -357,38 +352,52 @@ void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* row
                 eq = _mm512_andnot_si512(planes[p], eq);
             }
         }
+        // Padded words of the last block leave the compare here.
+        const std::size_t w = b * kBlockWords;
+        const std::size_t n_valid = rows.n_words - w < kBlockWords ? rows.n_words - w : kBlockWords;
+        const auto valid = static_cast<__mmask8>((1u << n_valid) - 1u);
+        gt = _mm512_maskz_mov_epi64(valid, gt);
+        eq = _mm512_maskz_mov_epi64(valid, eq);
         __m512i query = gt;
-        if (can_tie && _mm512_test_epi64_mask(eq, eq) != 0) {
-            alignas(64) Word eq_words[8];
-            alignas(64) Word tie_words[8];
+        const __mmask8 tied = _mm512_test_epi64_mask(eq, eq);
+        if (can_tie && tied != 0) {
+            alignas(64) Word eq_words[kBlockWords];
+            alignas(64) Word tie_words[kBlockWords] = {};
             _mm512_store_si512(eq_words, eq);
-            for (std::size_t k = 0; k < 8; ++k) {
-                tie_words[k] =
-                    eq_words[k] == 0 ? 0 : (ties(tie_ctx, eq_words[k], w + k) & eq_words[k]);
+            for (std::size_t k = 0; k < kBlockWords; ++k) {
+                if (((tied >> k) & 1u) != 0) {
+                    tie_words[k] = ties(tie_ctx, eq_words[k], w + k) & eq_words[k];
+                }
             }
             query = _mm512_or_si512(query, _mm512_load_si512(tie_words));
         }
         for (std::size_t c = 0; c < n_classes; ++c) {
-            const __m512i x = _mm512_xor_si512(query, _mm512_loadu_si512(class_rows[c] + w));
+            const __m512i x =
+                _mm512_xor_si512(query, _mm512_maskz_loadu_epi64(valid, class_rows[c] + w));
             distances[c] +=
                 static_cast<std::uint64_t>(_mm512_reduce_add_epi64(_mm512_popcnt_epi64(x)));
         }
     }
-    detail::fused_hamming_words(rows_a, rows_b, n_rows, class_rows, n_classes, w, n_words, ties,
-                                tie_ctx, distances);
 }
 
-void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
-                          std::size_t n_rows, const Word* const* class_rows,
-                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
+using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
+                               std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+
+/// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
+constexpr FusedBlocksFn kFusedByPlanes[16] = {
+    &fused_blocks<1>,  &fused_blocks<2>,  &fused_blocks<3>,  &fused_blocks<4>,
+    &fused_blocks<5>,  &fused_blocks<6>,  &fused_blocks<7>,  &fused_blocks<8>,
+    &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
+    &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
+};
+
+void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
+                          const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
-    if (n_rows == 0) return;
-    rows_b == nullptr
-        ? fused_hamming_scores_impl<false>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                           n_words, ties, tie_ctx, distances)
-        : fused_hamming_scores_impl<true>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                          n_words, ties, tie_ctx, distances);
+    if (rows.n_rows == 0) return;
+    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(rows.n_rows));
+    kFusedByPlanes[n_planes - 1](rows, levels, class_rows, n_classes, ties, tie_ctx, distances);
 }
 
 constexpr KernelBackend kBackend{

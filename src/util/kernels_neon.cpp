@@ -255,125 +255,140 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
 }
 
-template <bool Fused>
-uint64x2_t load_row(const Word* const* rows_a, const Word* const* rows_b, std::size_t r,
-                    std::size_t w) noexcept {
-    const uint64x2_t a = vld1q_u64(rows_a[r] + w);
-    if constexpr (!Fused) return a;
-    return veorq_u64(a, vld1q_u64(rows_b[r] + w));
+/// Ripples a weight-2^Start carry through planes [Start, Planes).
+template <std::size_t Start, std::size_t Planes>
+void ripple(uint64x2_t (&planes)[Planes], uint64x2_t carry) noexcept {
+    for (std::size_t p = Start; p < Planes; ++p) {
+        const uint64x2_t sum = veorq_u64(planes[p], carry);
+        carry = vandq_u64(planes[p], carry);
+        planes[p] = sum;
+    }
 }
 
-template <bool Fused>
-void fused_hamming_scores_impl(const Word* const* rows_a, const Word* const* rows_b,
-                               std::size_t n_rows, const Word* const* class_rows,
-                               std::size_t n_classes, std::size_t n_words, TieResolver ties,
-                               void* tie_ctx, std::uint64_t* distances) noexcept {
-    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+/// The fused kernel over every block, bit_width(n_rows) == Planes.  A
+/// 512-bit block is four q-register quarters; one quarter's 16 count planes,
+/// ones/twos/fours and CSA temps fit the 32-register file, so each block is
+/// walked once per quarter, in ascending word order for the tie resolver.
+template <std::size_t Planes>
+void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
+                  std::size_t n_classes, TieResolver ties, void* tie_ctx,
+                  std::uint64_t* distances) noexcept {
+    const std::size_t n_rows = rows.n_rows;
     const Word threshold = n_rows / 2;
     const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
-    std::size_t w = 0;
-    for (; w + 2 <= n_words; w += 2) {
-        // Per two-word block: up to 16 count planes + ones/twos/fours + CSA
-        // temps fit the 32-register NEON file.
-        uint64x2_t planes[16];
-        for (std::size_t p = 0; p < n_planes; ++p) planes[p] = vdupq_n_u64(0);
-        uint64x2_t ones = vdupq_n_u64(0);
-        uint64x2_t twos = vdupq_n_u64(0);
-        uint64x2_t fours = vdupq_n_u64(0);
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            const uint64x2_t x0 = load_row<Fused>(rows_a, rows_b, r + 0, w);
-            const uint64x2_t x1 = load_row<Fused>(rows_a, rows_b, r + 1, w);
-            const uint64x2_t twos_a = csa_carry(ones, x0, x1);
-            ones = csa_sum(ones, x0, x1);
-            const uint64x2_t x2 = load_row<Fused>(rows_a, rows_b, r + 2, w);
-            const uint64x2_t x3 = load_row<Fused>(rows_a, rows_b, r + 3, w);
-            const uint64x2_t twos_b = csa_carry(ones, x2, x3);
-            ones = csa_sum(ones, x2, x3);
-            const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
-            twos = csa_sum(twos, twos_a, twos_b);
-            const uint64x2_t x4 = load_row<Fused>(rows_a, rows_b, r + 4, w);
-            const uint64x2_t x5 = load_row<Fused>(rows_a, rows_b, r + 5, w);
-            const uint64x2_t twos_c = csa_carry(ones, x4, x5);
-            ones = csa_sum(ones, x4, x5);
-            const uint64x2_t x6 = load_row<Fused>(rows_a, rows_b, r + 6, w);
-            const uint64x2_t x7 = load_row<Fused>(rows_a, rows_b, r + 7, w);
-            const uint64x2_t twos_d = csa_carry(ones, x6, x7);
-            ones = csa_sum(ones, x6, x7);
-            const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
-            twos = csa_sum(twos, twos_c, twos_d);
-            uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
-            fours = csa_sum(fours, fours_a, fours_b);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const uint64x2_t sum = veorq_u64(planes[p], carry);
-                carry = vandq_u64(planes[p], carry);
-                planes[p] = sum;
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        for (std::size_t quarter = 0; quarter < 4; ++quarter) {
+            const std::size_t w = b * kBlockWords + quarter * 2;
+            if (w >= rows.n_words) break;  // an all-padding quarter
+            const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + quarter * 2;
+            const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + quarter * 2;
+            const auto bound = [&](std::size_t r) {
+                return veorq_u64(
+                    vld1q_u64(feature + r * kBlockWords),
+                    vld1q_u64(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
+            };
+            uint64x2_t planes[Planes];
+            for (std::size_t p = 0; p < Planes; ++p) planes[p] = vdupq_n_u64(0);
+            uint64x2_t ones = vdupq_n_u64(0);
+            uint64x2_t twos = vdupq_n_u64(0);
+            uint64x2_t fours = vdupq_n_u64(0);
+            std::size_t r = 0;
+            for (; r + 8 <= n_rows; r += 8) {
+                const uint64x2_t x0 = bound(r + 0);
+                const uint64x2_t x1 = bound(r + 1);
+                const uint64x2_t twos_a = csa_carry(ones, x0, x1);
+                ones = csa_sum(ones, x0, x1);
+                const uint64x2_t x2 = bound(r + 2);
+                const uint64x2_t x3 = bound(r + 3);
+                const uint64x2_t twos_b = csa_carry(ones, x2, x3);
+                ones = csa_sum(ones, x2, x3);
+                const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
+                twos = csa_sum(twos, twos_a, twos_b);
+                const uint64x2_t x4 = bound(r + 4);
+                const uint64x2_t x5 = bound(r + 5);
+                const uint64x2_t twos_c = csa_carry(ones, x4, x5);
+                ones = csa_sum(ones, x4, x5);
+                const uint64x2_t x6 = bound(r + 6);
+                const uint64x2_t x7 = bound(r + 7);
+                const uint64x2_t twos_d = csa_carry(ones, x6, x7);
+                ones = csa_sum(ones, x6, x7);
+                const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
+                twos = csa_sum(twos, twos_c, twos_d);
+                const uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
+                fours = csa_sum(fours, fours_a, fours_b);
+                ripple<3>(planes, carry);
             }
-        }
-        for (; r < n_rows; ++r) {
-            const uint64x2_t x = load_row<Fused>(rows_a, rows_b, r, w);
-            uint64x2_t carry = vandq_u64(ones, x);
-            ones = veorq_u64(ones, x);
-            const uint64x2_t c2 = vandq_u64(twos, carry);
-            twos = veorq_u64(twos, carry);
-            carry = vandq_u64(fours, c2);
-            fours = veorq_u64(fours, c2);
-            for (std::size_t p = 3; p < n_planes; ++p) {
-                const uint64x2_t sum = veorq_u64(planes[p], carry);
-                carry = vandq_u64(planes[p], carry);
-                planes[p] = sum;
+            for (; r < n_rows; ++r) {
+                const uint64x2_t x = bound(r);
+                const uint64x2_t c1 = vandq_u64(ones, x);
+                ones = veorq_u64(ones, x);
+                const uint64x2_t c2 = vandq_u64(twos, c1);
+                twos = veorq_u64(twos, c1);
+                const uint64x2_t c3 = vandq_u64(fours, c2);
+                fours = veorq_u64(fours, c2);
+                ripple<3>(planes, c3);
             }
-        }
-        const uint64x2_t carries[3] = {ones, twos, fours};
-        for (std::size_t start = 0; start < 3; ++start) {
-            uint64x2_t carry = carries[start];
-            for (std::size_t p = start; p < n_planes; ++p) {
-                const uint64x2_t sum = veorq_u64(planes[p], carry);
-                carry = vandq_u64(planes[p], carry);
-                planes[p] = sum;
+            ripple<0>(planes, ones);
+            ripple<1>(planes, twos);
+            ripple<2>(planes, fours);
+            // Bit-sliced count > / == threshold, MSB plane first.
+            uint64x2_t gt = vdupq_n_u64(0);
+            uint64x2_t eq = vdupq_n_u64(~Word{0});
+            for (std::size_t p = Planes; p-- > 0;) {
+                if (((threshold >> p) & 1u) != 0) {
+                    eq = vandq_u64(eq, planes[p]);
+                } else {
+                    gt = vorrq_u64(gt, vandq_u64(eq, planes[p]));
+                    eq = vbicq_u64(eq, planes[p]);
+                }
             }
-        }
-        // Bit-sliced count > / == threshold, MSB plane first.
-        uint64x2_t gt = vdupq_n_u64(0);
-        uint64x2_t eq = vdupq_n_u64(~Word{0});
-        for (std::size_t p = n_planes; p-- > 0;) {
-            if (((threshold >> p) & 1u) != 0) {
-                eq = vandq_u64(eq, planes[p]);
-            } else {
-                gt = vorrq_u64(gt, vandq_u64(eq, planes[p]));
-                eq = vbicq_u64(eq, planes[p]);
+            // A padded high word (odd n_words, last quarter) leaves the
+            // compare here, and its class word is never read.
+            const bool both = w + 1 < rows.n_words;
+            const uint64x2_t valid =
+                vcombine_u64(vcreate_u64(~Word{0}), vcreate_u64(both ? ~Word{0} : Word{0}));
+            gt = vandq_u64(gt, valid);
+            eq = vandq_u64(eq, valid);
+            uint64x2_t query = gt;
+            if (can_tie) {
+                const Word eq0 = vgetq_lane_u64(eq, 0);
+                const Word eq1 = vgetq_lane_u64(eq, 1);
+                if ((eq0 | eq1) != 0) {
+                    const Word tie0 = eq0 == 0 ? 0 : (ties(tie_ctx, eq0, w + 0) & eq0);
+                    const Word tie1 = eq1 == 0 ? 0 : (ties(tie_ctx, eq1, w + 1) & eq1);
+                    query = vorrq_u64(query, vcombine_u64(vcreate_u64(tie0), vcreate_u64(tie1)));
+                }
             }
-        }
-        uint64x2_t query = gt;
-        if (can_tie) {
-            const Word eq0 = vgetq_lane_u64(eq, 0);
-            const Word eq1 = vgetq_lane_u64(eq, 1);
-            if ((eq0 | eq1) != 0) {
-                const Word tie0 = eq0 == 0 ? 0 : (ties(tie_ctx, eq0, w + 0) & eq0);
-                const Word tie1 = eq1 == 0 ? 0 : (ties(tie_ctx, eq1, w + 1) & eq1);
-                query = vorrq_u64(query, vcombine_u64(vcreate_u64(tie0), vcreate_u64(tie1)));
+            for (std::size_t c = 0; c < n_classes; ++c) {
+                const Word* cls = class_rows[c] + w;
+                const uint64x2_t class_words =
+                    both ? vld1q_u64(cls) : vcombine_u64(vcreate_u64(cls[0]), vcreate_u64(0));
+                const uint64x2_t x = veorq_u64(query, class_words);
+                distances[c] += static_cast<std::uint64_t>(vaddvq_u64(popcount_pairs(x)));
             }
-        }
-        for (std::size_t c = 0; c < n_classes; ++c) {
-            const uint64x2_t x = veorq_u64(query, vld1q_u64(class_rows[c] + w));
-            distances[c] += static_cast<std::uint64_t>(vaddvq_u64(popcount_pairs(x)));
         }
     }
-    detail::fused_hamming_words(rows_a, rows_b, n_rows, class_rows, n_classes, w, n_words, ties,
-                                tie_ctx, distances);
 }
 
-void fused_hamming_scores(const Word* const* rows_a, const Word* const* rows_b,
-                          std::size_t n_rows, const Word* const* class_rows,
-                          std::size_t n_classes, std::size_t n_words, TieResolver ties,
+using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
+                               std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+
+/// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
+constexpr FusedBlocksFn kFusedByPlanes[16] = {
+    &fused_blocks<1>,  &fused_blocks<2>,  &fused_blocks<3>,  &fused_blocks<4>,
+    &fused_blocks<5>,  &fused_blocks<6>,  &fused_blocks<7>,  &fused_blocks<8>,
+    &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
+    &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
+};
+
+void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
+                          const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
-    if (n_rows == 0) return;
-    rows_b == nullptr
-        ? fused_hamming_scores_impl<false>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                           n_words, ties, tie_ctx, distances)
-        : fused_hamming_scores_impl<true>(rows_a, rows_b, n_rows, class_rows, n_classes,
-                                          n_words, ties, tie_ctx, distances);
+    if (rows.n_rows == 0) return;
+    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(rows.n_rows));
+    kFusedByPlanes[n_planes - 1](rows, levels, class_rows, n_classes, ties, tie_ctx, distances);
 }
 
 constexpr KernelBackend kBackend{

@@ -85,7 +85,9 @@ void BinaryReader::read_bytes(std::span<std::byte> bytes) {
         if (bytes.size() > data_.size() - offset_) {
             throw FormatError("BinaryReader: unexpected end of buffer");
         }
-        std::memcpy(bytes.data(), data_.data() + offset_, bytes.size());
+        // An empty read may come with a null destination (an empty vector),
+        // which memcpy must not be handed even for zero bytes.
+        if (!bytes.empty()) std::memcpy(bytes.data(), data_.data() + offset_, bytes.size());
     }
     offset_ += bytes.size();
 }

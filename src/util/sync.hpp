@@ -22,8 +22,10 @@
 /// lint `thread-detach` rule bans detaching repo-wide, and a joining type
 /// makes the safe thing the only expressible thing.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -140,6 +142,46 @@ public:
 
 private:
     std::thread thread_;
+};
+
+/// Build-once holder (the repo's std::call_once): get_or_build() runs the
+/// build function at most once per holder across concurrent first callers
+/// — they serialize on the mutex, one builds, the rest find the value
+/// published — and every later call is one acquire load.  A build that
+/// throws publishes nothing, so the next caller retries.  Copies and assignments
+/// start empty: a copy rebuilds its own value on first use.
+template <typename T>
+class OnceCell {
+public:
+    OnceCell() = default;
+    OnceCell(const OnceCell& /*other*/) noexcept {}
+    OnceCell& operator=(const OnceCell& other) {
+        if (this != &other) {
+            MutexLock lock(mutex_);
+            ready_.store(nullptr, std::memory_order_release);
+            value_.reset();
+        }
+        return *this;
+    }
+
+    template <typename Build>
+    const T& get_or_build(Build&& build) HDLOCK_EXCLUDES(mutex_) {
+        if (const T* ready = ready_.load(std::memory_order_acquire)) return *ready;
+        MutexLock lock(mutex_);
+        if (value_ == nullptr) {
+            value_ = std::make_unique<const T>(std::forward<Build>(build)());
+            ready_.store(value_.get(), std::memory_order_release);
+        }
+        return *value_;
+    }
+
+    /// The value if some caller built it, else nullptr.
+    const T* get() const noexcept { return ready_.load(std::memory_order_acquire); }
+
+private:
+    Mutex mutex_;
+    std::unique_ptr<const T> value_ HDLOCK_GUARDED_BY(mutex_);
+    std::atomic<const T*> ready_{nullptr};
 };
 
 /// Thread identity for tests ("did this run inline or on a worker?").

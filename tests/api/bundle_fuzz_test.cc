@@ -11,9 +11,11 @@
 
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/facades.hpp"
@@ -171,6 +173,129 @@ TEST(BundleFuzz, AbsurdVersionIsNamedInTheError) {
         FAIL() << "version 42 should not load";
     } catch (const FormatError& error) {
         EXPECT_NE(std::string(error.what()).find("42"), std::string::npos) << error.what();
+    }
+}
+
+/// `bytes` with its DSC1 (discretizer) section replaced by one written from
+/// the given fields — the section is variable-length, so it is spliced
+/// rather than patched in place.
+std::string with_dsc1(const std::string& bytes, std::uint64_t n_levels, std::uint8_t mode,
+                      const std::vector<float>& mins, const std::vector<float>& maxs) {
+    const std::size_t at = bytes.find("DSC1");
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(bytes.find("DSC1", at + 1), std::string::npos) << "ambiguous DSC1 tag";
+    const auto u64_at = [&bytes](std::size_t offset) {
+        std::uint64_t value = 0;
+        std::memcpy(&value, bytes.data() + offset, sizeof(value));
+        return value;
+    };
+    // tag, u64 n_levels, u8 mode, then two (u64 count, float[count]) vectors.
+    std::size_t end = at + 4 + 8 + 1;
+    end += 8 + 4 * static_cast<std::size_t>(u64_at(end));
+    end += 8 + 4 * static_cast<std::size_t>(u64_at(end));
+
+    std::ostringstream section(std::ios::binary);
+    util::BinaryWriter writer(section);
+    writer.write_tag("DSC1");
+    writer.write_u64(n_levels);
+    writer.write_u8(mode);
+    writer.write_span(std::span<const float>(mins));
+    writer.write_span(std::span<const float>(maxs));
+    return bytes.substr(0, at) + section.str() + bytes.substr(end);
+}
+
+/// The FormatError message of loading `bytes` on both transports (they must
+/// agree); empty when it loaded.
+std::string dsc1_load_error(const std::string& bytes) {
+    std::string stream_error;
+    std::string span_error;
+    try {
+        std::istringstream in(bytes, std::ios::binary);
+        util::BinaryReader reader(in);
+        (void)api::DeploymentBundle::load(reader);
+    } catch (const FormatError& error) {
+        stream_error = error.what();
+    }
+    try {
+        util::BinaryReader reader(std::as_bytes(std::span<const char>(bytes)));
+        (void)api::DeploymentBundle::load(reader);
+    } catch (const FormatError& error) {
+        span_error = error.what();
+    }
+    EXPECT_EQ(stream_error, span_error);
+    return stream_error;
+}
+
+TEST(BundleFuzz, CorruptDiscretizerSectionsAreRejectedByField) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const std::uint8_t global = 0;
+    const std::uint8_t per_feature = 1;
+    const std::vector<float> twelve(12, 0.0f);
+    const std::vector<float> twelve_ones(12, 1.0f);
+    struct Case {
+        const char* what;
+        std::uint64_t n_levels;
+        std::uint8_t mode;
+        std::vector<float> mins, maxs;
+        const char* field;  // must appear in the FormatError message
+    };
+    const std::vector<Case> cases = {
+        {"zero levels", 0, global, {0.0f}, {1.0f}, "n_levels"},
+        {"one level", 1, global, {0.0f}, {1.0f}, "n_levels"},
+        {"2^40 levels", 1ULL << 40, global, {0.0f}, {1.0f}, "n_levels"},
+        {"global, no ranges", 4, global, {}, {}, "ranges"},
+        {"per-feature, no ranges", 4, per_feature, {}, {}, "ranges"},
+        {"global, two ranges", 4, global, {0.0f, 0.0f}, {1.0f, 1.0f}, "ranges"},
+        {"min above max", 4, global, {2.0f}, {1.0f}, "min"},
+        {"NaN min", 4, global, {nan}, {1.0f}, "min"},
+        {"NaN max", 4, global, {0.0f}, {nan}, "min"},
+        {"per-feature NaN bound", 4, per_feature, twelve, [&] {
+             auto maxs = twelve_ones;
+             maxs[7] = nan;
+             return maxs;
+         }(), "range 7"},
+    };
+    for (const auto& [kind, bytes] : corpora()) {
+        // Control: a well-formed replacement section of the original length
+        // loads (a longer one would misalign the 64-byte-aligned sections
+        // after it; the corrupt cases fail before those are read).
+        EXPECT_EQ(dsc1_load_error(with_dsc1(bytes, 4, global, {0.0f}, {1.0f})), "") << kind;
+        for (const Case& c : cases) {
+            const std::string error =
+                dsc1_load_error(with_dsc1(bytes, c.n_levels, c.mode, c.mins, c.maxs));
+            EXPECT_NE(error.find(c.field), std::string::npos)
+                << kind << ", " << c.what << ": error was \"" << error << "\"";
+        }
+    }
+}
+
+// load() rejects NaN discretizer bounds, so training must never produce
+// them: an owner trained on data whose first value is NaN (the CSV loader
+// accepts NaN by default) exports bundles that load on both transports.
+TEST(BundleFuzz, OwnerTrainedOnNanFirstValueExportsLoadableBundles) {
+    DeploymentConfig config;
+    config.dim = 512;
+    config.n_features = 12;
+    config.n_levels = 4;
+    config.n_layers = 2;
+    config.seed = 31;
+    data::SyntheticSpec spec;
+    spec.name = "fuzz-nan";
+    spec.n_features = 12;
+    spec.n_classes = 3;
+    spec.n_train = 90;
+    spec.n_test = 30;
+    spec.n_levels = 4;
+    spec.seed = 8;
+    data::Dataset train = data::make_benchmark(spec).train;
+    train.X(0, 0) = std::numeric_limits<float>::quiet_NaN();
+    api::Owner owner = api::Owner::provision(config);
+    owner.train(train);
+
+    for (const auto& [kind, bytes] : {std::pair{"owner", serialize(owner.to_bundle())},
+                                      std::pair{"device", serialize(owner.to_device_bundle())}}) {
+        EXPECT_EQ(try_load_stream(bytes), LoadOutcome::loaded) << kind;
+        EXPECT_EQ(try_load_span(bytes), LoadOutcome::loaded) << kind;
     }
 }
 

@@ -233,7 +233,10 @@ class InferenceSessionCache : public ::testing::TestWithParam<hdc::ModelKind> {}
 TEST_P(InferenceSessionCache, ProductCacheIsBitIdenticalToFusedPath) {
     const Pipeline pipeline = make_pipeline(GetParam());
 
+    // The cache serves the two-step encode; binary sessions default to the
+    // fused kernel path, which never reads it.
     api::SessionOptions plain;
+    plain.fused_predict = api::FusedPredict::off;
     const auto baseline = pipeline.owner.open_session(plain);
     EXPECT_FALSE(baseline.product_cache_active());
 
@@ -246,6 +249,27 @@ TEST_P(InferenceSessionCache, ProductCacheIsBitIdenticalToFusedPath) {
     for (std::size_t s = 0; s < 5; ++s) {
         EXPECT_EQ(session.predict_row(pipeline.data.test.X.row(s)),
                   pipeline.classifier.predict_row(pipeline.data.test.X.row(s)));
+    }
+}
+
+TEST(InferenceSession, FusedSessionBuildsNoProductCache) {
+    // The fused path never reads the cache, so a fused epoch must not
+    // build (or, on swap, rebuild) the N x M x D-bit table.
+    const Pipeline pipeline = make_pipeline(hdc::ModelKind::binary);
+    api::SessionOptions options;
+    options.use_product_cache = true;
+    const auto session = pipeline.owner.open_session(options);
+    ASSERT_TRUE(session.fused_predict_active());
+    EXPECT_FALSE(session.product_cache_active());
+    EXPECT_EQ(session.serving_state()->product_cache, nullptr);
+
+    session.swap_bundle(pipeline.owner.to_device_bundle().make_snapshot());
+    ASSERT_TRUE(session.fused_predict_active());
+    EXPECT_EQ(session.serving_state()->product_cache, nullptr);
+
+    const auto predictions = session.predict(pipeline.data.test.X);
+    for (std::size_t s = 0; s < predictions.size(); ++s) {
+        EXPECT_EQ(predictions[s], pipeline.classifier.predict_row(pipeline.data.test.X.row(s)));
     }
 }
 

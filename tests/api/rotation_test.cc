@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,41 @@ TEST_F(Rotation, SwapBundleInstallsTheNewEpoch) {
     EXPECT_EQ(session.epoch(), 1u);
     EXPECT_EQ(session.predict(benchmark.test.X), expected_after);
     EXPECT_EQ(before.size(), expected_after.size());
+}
+
+// The fused path's block-major layout belongs to the encoder of one epoch:
+// neither opening a session, taking a snapshot nor swapping builds it (the
+// first fused row of an epoch does), the new epoch serves its own
+// reference labels, and the old layout is freed with the old state once the
+// swap drops the last reference to it.
+TEST_F(Rotation, SwapBundleServesTheNewEpochAndReleasesTheOldFusedLayout) {
+    const auto benchmark = small_benchmark();
+    api::Owner owner = trained_owner();
+    const api::InferenceSession session = api::Device(owner.to_device_bundle()).open_session();
+    ASSERT_TRUE(session.fused_predict_active());
+    std::weak_ptr<const hdc::Encoder> old_encoder;
+    {
+        const std::shared_ptr<const hdc::Encoder> first = session.serving_state()->encoder;
+        ASSERT_NE(first, nullptr);
+        EXPECT_FALSE(first->fused_layout_built());
+        EXPECT_EQ(session.predict(benchmark.test.X), owner.predict(benchmark.test.X));
+        EXPECT_TRUE(first->fused_layout_built());
+        old_encoder = first;
+    }
+
+    owner.rotate(benchmark.train);
+    const std::vector<int> expected_after = owner.predict(benchmark.test.X);
+    api::BundleSnapshot snapshot = owner.to_device_bundle().make_snapshot();
+    EXPECT_FALSE(snapshot.encoder->fused_layout_built());
+    EXPECT_EQ(session.swap_bundle(std::move(snapshot)), 1u);
+    EXPECT_FALSE(session.serving_state()->encoder->fused_layout_built());
+    EXPECT_TRUE(old_encoder.expired()) << "the old epoch's encoder (and layout) outlived the swap";
+
+    EXPECT_EQ(session.predict(benchmark.test.X), expected_after);
+    EXPECT_TRUE(session.serving_state()->encoder->fused_layout_built());
+    for (std::size_t r = 0; r < benchmark.test.X.rows(); ++r) {
+        EXPECT_EQ(session.predict_row(benchmark.test.X.row(r)), expected_after[r]) << "row " << r;
+    }
 }
 
 TEST_F(Rotation, InvalidSnapshotsAreRefusedAndOldEpochKeepsServing) {

@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 using hdlock::ContractViolation;
@@ -163,4 +164,113 @@ TEST(Discretizer, SerializationRoundTrip) {
     const auto loaded = MinMaxDiscretizer::load(reader);
     EXPECT_EQ(loaded, d);
     EXPECT_EQ(loaded.level_of(2.0f, 0), d.level_of(2.0f, 0));
+}
+
+// NaN in the training data must never reach the fitted bounds: load()
+// rejects NaN bounds, so a NaN range would make the owner's own save fail
+// to load. The first value used to seed the range, so a NaN in row 0 is the
+// case that leaked; a column holding only NaN fits as the degenerate [0, 0].
+TEST(Discretizer, FitSkipsNanAndRoundTripsThroughLoad) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Matrix<float> X(3, 3);
+    X(0, 0) = nan;
+    X(0, 1) = 5.0f;
+    X(0, 2) = nan;
+    X(1, 0) = 2.0f;
+    X(1, 1) = nan;
+    X(1, 2) = nan;
+    X(2, 0) = -1.0f;
+    X(2, 1) = 7.5f;
+    X(2, 2) = nan;
+
+    for (const auto mode : {DiscretizerMode::global, DiscretizerMode::per_feature}) {
+        SCOPED_TRACE(mode == DiscretizerMode::global ? "global" : "per_feature");
+        const auto d = MinMaxDiscretizer::fit(X, 8, mode);
+
+        std::stringstream stream;
+        hdlock::util::BinaryWriter writer(stream);
+        d.save(writer);
+        hdlock::util::BinaryReader reader(stream);
+        const auto loaded = MinMaxDiscretizer::load(reader);
+        EXPECT_EQ(loaded, d);
+
+        const std::vector<float> row = {-1.0f, 7.5f, 3.0f};
+        if (mode == DiscretizerMode::global) {
+            // One range over the non-NaN values: [-1, 7.5].
+            EXPECT_EQ(loaded.transform_row(row), (std::vector<int>{0, 7, 3}));
+        } else {
+            // Columns [-1, 2] and [5, 7.5]; the all-NaN column is [0, 0].
+            EXPECT_EQ(loaded.transform_row(row), (std::vector<int>{0, 7, 0}));
+            EXPECT_EQ(loaded.level_of(2.0f, 0), 7);
+            EXPECT_EQ(loaded.level_of(5.0f, 1), 0);
+        }
+    }
+}
+
+// transform_row hoists the fitted/range/mode checks out of its loop and
+// clamps by compare instead of floor; it must stay bit-identical to the
+// per-element level_of on every value class (NaN, ±inf, huge finite,
+// signed zeros, denormals, range boundaries) against every range class
+// (ordinary, degenerate, fitted on infinities, extreme magnitudes), in both
+// modes.
+TEST(Discretizer, TransformRowMatchesLevelOfOnSpecialValues) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float big = std::numeric_limits<float>::max();
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const std::vector<std::pair<float, float>> ranges = {
+        {0.0f, 1.0f},    {-3.5f, 7.25f}, {5.0f, 5.0f},     {-inf, 1.0f},   {0.0f, inf},
+        {-inf, inf},     {-big, big},    {1e-30f, 2e-30f}, {0.0f, tiny},   {-1e30f, 1e30f},
+        {inf, inf},      {-inf, -inf},   {1.0f, 1.0000001f},
+    };
+    const std::vector<float> values = {
+        nan,   -nan,  inf,     -inf,      big,      -big,  0.0f, -0.0f, tiny, -tiny,
+        1.0f,  -1.0f, 0.5f,    0.999999f, 1.0000001f, 5.0f, 7.25f, -3.5f, 1e-30f, 1.5e-30f,
+        2e30f, 3e38f, -1e-45f, 0.2499999f, 0.25f,     0.75f, 1e30f, -1e30f,
+    };
+    for (const std::size_t n_levels : {std::size_t{2}, std::size_t{10}, std::size_t{256}}) {
+        // Global mode, one range at a time.
+        for (const auto& [lo, hi] : ranges) {
+            const auto d = MinMaxDiscretizer::with_range(lo, hi, n_levels);
+            std::vector<int> levels(values.size(), -1);
+            d.transform_row(values, levels);
+            for (std::size_t i = 0; i < values.size(); ++i) {
+                EXPECT_EQ(levels[i], d.level_of(values[i]))
+                    << "global [" << lo << ", " << hi << "] M=" << n_levels << " v=" << values[i];
+            }
+        }
+        // Per-feature mode: one column per range, fitted from its endpoints.
+        Matrix<float> X(2, ranges.size());
+        for (std::size_t c = 0; c < ranges.size(); ++c) {
+            X(0, c) = ranges[c].first;
+            X(1, c) = ranges[c].second;
+        }
+        const auto d = MinMaxDiscretizer::fit(X, n_levels, DiscretizerMode::per_feature);
+        for (const float v : values) {
+            const std::vector<float> row(ranges.size(), v);
+            std::vector<int> levels(row.size(), -1);
+            d.transform_row(row, levels);
+            for (std::size_t c = 0; c < row.size(); ++c) {
+                EXPECT_EQ(levels[c], d.level_of(v, c))
+                    << "per-feature column " << c << " M=" << n_levels << " v=" << v;
+            }
+        }
+    }
+}
+
+TEST(Discretizer, TransformRowRejectsUnfittedAndTooWideRows) {
+    MinMaxDiscretizer unfitted;
+    const std::vector<float> row = {0.1f, 0.2f, 0.3f};
+    std::vector<int> levels(row.size());
+    EXPECT_THROW(unfitted.transform_row(row, levels), ContractViolation);
+
+    Matrix<float> X(2, 2);
+    X(0, 0) = 0.0f;
+    X(1, 0) = 1.0f;
+    X(0, 1) = 0.0f;
+    X(1, 1) = 2.0f;
+    const auto per_feature = MinMaxDiscretizer::fit(X, 4, DiscretizerMode::per_feature);
+    EXPECT_THROW(per_feature.transform_row(row, levels), ContractViolation);
+    const auto global = MinMaxDiscretizer::fit(X, 4, DiscretizerMode::global);
+    EXPECT_NO_THROW(global.transform_row(row, levels));
 }

@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <tuple>
 #include <vector>
 
 #include "util/kernels.hpp"
+#include "util/sync.hpp"
 
 using hdlock::ContractViolation;
 using hdlock::hdc::BinaryHV;
@@ -195,9 +197,9 @@ TEST(RecordEncoder, RejectsMemoryWithoutFeatureHVs) {
 
 // The fused kernel path must reproduce the two-step encode_binary + hamming
 // distances bit-for-bit: every backend, dimensions spanning vector-width
-// tails (64 / odd / 1000 / 10000), bound-product cache on and off, and both
-// feature-count parities — even N exercises the randomized tie draws, odd N
-// the tie-free path.
+// and 512-bit block tails (64 / odd / 1000 / 10000), and both feature-count
+// parities — even N exercises the randomized tie draws, odd N the tie-free
+// path.
 TEST(EncoderFused, DistancesMatchTwoStepPathEverywhere) {
     namespace kernels = hdlock::util::kernels;
     for (const auto& [dim, n_features, n_levels] :
@@ -206,8 +208,6 @@ TEST(EncoderFused, DistancesMatchTwoStepPathEverywhere) {
           std::make_tuple<std::size_t, std::size_t, std::size_t>(1000, 64, 8),
           std::make_tuple<std::size_t, std::size_t, std::size_t>(10000, 63, 4)}) {
         const RecordEncoder encoder(make_memory(dim, n_features, n_levels, 5), /*tie_seed=*/9);
-        const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-        ASSERT_NE(cache, nullptr);
 
         const std::size_t n_classes = 5;
         hdlock::util::Xoshiro256ss rng(4242);
@@ -224,15 +224,11 @@ TEST(EncoderFused, DistancesMatchTwoStepPathEverywhere) {
 
             for (const auto kind : kernels::available_backends()) {
                 kernels::ScopedBackend pin(kind);
-                for (const bool cached : {false, true}) {
-                    hdlock::hdc::EncoderScratch scratch;
-                    std::vector<std::uint64_t> distances(n_classes, 0);
-                    encoder.fused_hamming_into(levels, scratch, class_hvs, distances,
-                                               cached ? cache.get() : nullptr);
-                    EXPECT_EQ(distances, expected)
-                        << kernels::backend_name(kind) << " D=" << dim << " N=" << n_features
-                        << " cached=" << cached;
-                }
+                hdlock::hdc::EncoderScratch scratch;
+                std::vector<std::uint64_t> distances(n_classes, 0);
+                encoder.fused_hamming_into(levels, scratch, class_hvs, distances);
+                EXPECT_EQ(distances, expected)
+                    << kernels::backend_name(kind) << " D=" << dim << " N=" << n_features;
             }
         }
     }
@@ -247,8 +243,6 @@ TEST(EncoderFused, TieDrawsMatchSignIntoOnEvenFeatureCounts) {
     const std::size_t dim = 1000;
     const std::size_t n_features = 8;  // even and small: many ties per row
     const RecordEncoder encoder(make_memory(dim, n_features, 4, 21), /*tie_seed=*/77);
-    const auto cache = encoder.make_product_cache(std::size_t{1} << 30);
-    ASSERT_NE(cache, nullptr);
 
     hdlock::util::Xoshiro256ss rng(31337);
     std::vector<BinaryHV> class_hvs{BinaryHV::random(dim, rng), BinaryHV::random(dim, rng)};
@@ -263,18 +257,69 @@ TEST(EncoderFused, TieDrawsMatchSignIntoOnEvenFeatureCounts) {
         for (const auto& hv : class_hvs) expected.push_back(hv.hamming(query));
         for (const auto kind : kernels::available_backends()) {
             kernels::ScopedBackend pin(kind);
-            for (const bool cached : {false, true}) {
-                hdlock::hdc::EncoderScratch scratch;
-                std::vector<std::uint64_t> distances(class_hvs.size(), 0);
-                encoder.fused_hamming_into(levels, scratch, class_hvs, distances,
-                                           cached ? cache.get() : nullptr);
-                EXPECT_EQ(distances, expected)
-                    << kernels::backend_name(kind) << " trial=" << trial
-                    << " cached=" << cached;
-            }
+            hdlock::hdc::EncoderScratch scratch;
+            std::vector<std::uint64_t> distances(class_hvs.size(), 0);
+            encoder.fused_hamming_into(levels, scratch, class_hvs, distances);
+            EXPECT_EQ(distances, expected)
+                << kernels::backend_name(kind) << " trial=" << trial;
         }
     }
     EXPECT_GT(tied_columns, 0u) << "test shape never tied; tie parity untested";
+}
+
+// The block-major layout is built lazily, once per encoder object: never by
+// construction, exactly once under concurrent first callers (they all get
+// the one published layout and bit-identical distances), and copies build
+// their own.  Run under TSan in CI (tsan-serving-core).
+TEST(EncoderFusedLayout, ConcurrentFirstCallersBuildOnceAndAgree) {
+    const std::size_t dim = 1000;
+    const std::size_t n_features = 40;
+    const RecordEncoder encoder(make_memory(dim, n_features, 4, 17), /*tie_seed=*/5);
+    hdlock::util::Xoshiro256ss rng(2024);
+    std::vector<BinaryHV> class_hvs;
+    for (int c = 0; c < 3; ++c) class_hvs.push_back(BinaryHV::random(dim, rng));
+    const auto levels = random_levels(n_features, 4, 99);
+    std::vector<std::uint64_t> expected;
+    const BinaryHV query = encoder.encode_binary(levels);
+    for (const auto& hv : class_hvs) expected.push_back(hv.hamming(query));
+    ASSERT_FALSE(encoder.fused_layout_built());
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<const hdlock::hdc::FusedLayout*> seen(kThreads, nullptr);
+    std::vector<std::vector<std::uint64_t>> results(kThreads);
+    std::atomic<std::size_t> waiting{kThreads};
+    {
+        std::vector<hdlock::util::Thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                waiting.fetch_sub(1);
+                while (waiting.load() != 0) hdlock::util::yield_now();
+                hdlock::hdc::EncoderScratch scratch;
+                results[t].assign(class_hvs.size(), 0);
+                encoder.fused_hamming_into(levels, scratch, class_hvs, results[t]);
+                seen[t] = &encoder.fused_layout();
+            });
+        }
+    }
+    ASSERT_TRUE(encoder.fused_layout_built());
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(seen[t], &encoder.fused_layout()) << "thread " << t;
+        EXPECT_EQ(results[t], expected) << "thread " << t;
+    }
+    const auto& layout = encoder.fused_layout().rows();
+    EXPECT_EQ(layout.n_rows, n_features);
+    EXPECT_EQ(layout.n_levels, 4u);
+    EXPECT_EQ(layout.n_words, hdlock::util::bits::word_count(dim));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(layout.feature_blocks) % 64, 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(layout.value_blocks) % 64, 0u);
+
+    const RecordEncoder copy = encoder;
+    EXPECT_FALSE(copy.fused_layout_built());
+    hdlock::hdc::EncoderScratch scratch;
+    std::vector<std::uint64_t> distances(class_hvs.size(), 0);
+    copy.fused_hamming_into(levels, scratch, class_hvs, distances);
+    EXPECT_EQ(distances, expected);
+    EXPECT_NE(&copy.fused_layout(), &encoder.fused_layout());
 }
 
 TEST(EncoderFused, RejectsShapeMismatches) {

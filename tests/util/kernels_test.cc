@@ -409,24 +409,81 @@ Word rng_ties(void* ctx, Word eq_mask, std::size_t /*word_index*/) noexcept {
     return negatives;
 }
 
-/// Independent scalar re-implementation of the fused contract: majority of
-/// per-column counts (ties at exactly n/2 for even n resolved by `ties`),
-/// then per-class Hamming against the implied query.
-std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>& rows_a,
-                                           const std::vector<std::vector<Word>>& rows_b,
+/// Records every resolver call (word index, eq mask) and resolves nothing:
+/// the padding and ordering tests read the log.
+struct TieLog {
+    std::vector<std::size_t> words;
+    std::vector<Word> masks;
+};
+
+Word logging_ties(void* ctx, Word eq_mask, std::size_t word_index) noexcept {
+    auto& log = *static_cast<TieLog*>(ctx);
+    log.words.push_back(word_index);
+    log.masks.push_back(eq_mask);
+    return 0;
+}
+
+/// Explicit fused-kernel inputs: N feature rows, M value rows, a level per
+/// feature row, and the block-major layout packed from them.
+struct FusedInputs {
+    std::vector<std::vector<Word>> features;
+    std::vector<std::vector<Word>> values;
+    std::vector<int> levels;
+    std::size_t n_words = 0;
+    std::vector<Word> feature_blocks;
+    std::vector<Word> value_blocks;
+
+    /// Packs features/values into the layout (call after filling them).
+    kernels::BlockMajorRows pack() {
+        const auto packed = [this](const std::vector<std::vector<Word>>& rows,
+                                   std::vector<Word>& out) {
+            std::vector<const Word*> ptrs;
+            for (const auto& row : rows) ptrs.push_back(row.data());
+            out.assign(kernels::block_major_words(rows.size(), n_words), ~Word{0});
+            kernels::pack_block_major(ptrs.data(), rows.size(), n_words, out.data());
+        };
+        packed(features, feature_blocks);
+        packed(values, value_blocks);
+        kernels::BlockMajorRows rows;
+        rows.feature_blocks = feature_blocks.data();
+        rows.value_blocks = value_blocks.data();
+        rows.n_rows = features.size();
+        rows.n_levels = values.size();
+        rows.n_words = n_words;
+        return rows;
+    }
+};
+
+/// Random inputs: n_rows feature rows, n_levels value rows, random levels.
+FusedInputs random_fused_inputs(std::size_t n_rows, std::size_t n_levels, std::size_t n_words,
+                                Xoshiro256ss& rng) {
+    FusedInputs inputs;
+    inputs.n_words = n_words;
+    for (std::size_t r = 0; r < n_rows; ++r) inputs.features.push_back(random_words(n_words, rng));
+    for (std::size_t m = 0; m < n_levels; ++m) inputs.values.push_back(random_words(n_words, rng));
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        inputs.levels.push_back(static_cast<int>(rng.next_below(n_levels)));
+    }
+    return inputs;
+}
+
+/// Independent scalar re-implementation of the fused contract over the
+/// row-major inputs: majority of per-column counts of the bound rows (ties
+/// at exactly n/2 for even n resolved by `ties`), then per-class Hamming
+/// against the implied query.
+std::vector<std::uint64_t> fused_reference(const FusedInputs& inputs,
                                            const std::vector<std::vector<Word>>& classes,
-                                           std::size_t n_words, kernels::TieResolver ties,
-                                           void* tie_ctx) {
-    const std::size_t n = rows_a.size();
+                                           kernels::TieResolver ties, void* tie_ctx) {
+    const std::size_t n = inputs.features.size();
     std::vector<std::uint64_t> distances(classes.size(), 0);
-    for (std::size_t w = 0; w < n_words; ++w) {
+    for (std::size_t w = 0; w < inputs.n_words; ++w) {
         Word query = 0;
         Word eq = 0;
         for (std::size_t bit = 0; bit < 64; ++bit) {
             std::size_t count = 0;
             for (std::size_t r = 0; r < n; ++r) {
-                Word x = rows_a[r][w];
-                if (!rows_b.empty()) x ^= rows_b[r][w];
+                const auto level = static_cast<std::size_t>(inputs.levels[r]);
+                const Word x = inputs.features[r][w] ^ inputs.values[level][w];
                 count += (x >> bit) & 1u;
             }
             if (count > n / 2) {
@@ -443,12 +500,64 @@ std::vector<std::uint64_t> fused_reference(const std::vector<std::vector<Word>>&
     return distances;
 }
 
+/// Class rows exactly n_words long (no slack a vector read past the end
+/// could hide in) and their pointer table.
+struct ClassRows {
+    std::vector<std::vector<Word>> rows;
+    std::vector<const Word*> ptrs;
+
+    ClassRows(std::size_t n_classes, std::size_t n_words, Xoshiro256ss& rng) {
+        for (std::size_t c = 0; c < n_classes; ++c) rows.push_back(random_words(n_words, rng));
+        for (const auto& row : rows) ptrs.push_back(row.data());
+    }
+};
+
+/// Runs `backend` with a fresh Xoshiro tie stream seeded `seed` (nullptr
+/// resolver for odd row counts, like the encoder).
+std::vector<std::uint64_t> run_fused(const KernelBackend& backend,
+                                     const kernels::BlockMajorRows& rows,
+                                     const std::vector<int>& levels, const ClassRows& classes,
+                                     std::uint64_t seed) {
+    Xoshiro256ss tie_rng(seed);
+    std::vector<std::uint64_t> distances(classes.rows.size(), ~std::uint64_t{0});
+    backend.fused_hamming_scores(rows, levels.data(), classes.ptrs.data(), classes.rows.size(),
+                                 &rng_ties, &tie_rng, distances.data());
+    return distances;
+}
+
 }  // namespace
+
+TEST(Kernels, PackBlockMajorLaysOutBlocksAndZeroesPadding) {
+    Xoshiro256ss rng(79);
+    const std::size_t n_rows = 3;
+    const std::size_t n_words = 11;  // two blocks, the second 3/8 full
+    std::vector<std::vector<Word>> rows;
+    std::vector<const Word*> ptrs;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        rows.push_back(random_words(n_words, rng));
+        ptrs.push_back(rows.back().data());
+    }
+    ASSERT_EQ(kernels::block_major_words(n_rows, n_words), 2 * n_rows * kernels::kBlockWords);
+    EXPECT_EQ(kernels::block_major_words(n_rows, 0), 0u);
+    EXPECT_EQ(kernels::block_major_words(n_rows, 8), n_rows * kernels::kBlockWords);
+    std::vector<Word> out(kernels::block_major_words(n_rows, n_words), ~Word{0});
+    kernels::pack_block_major(ptrs.data(), n_rows, n_words, out.data());
+    for (std::size_t b = 0; b < 2; ++b) {
+        for (std::size_t r = 0; r < n_rows; ++r) {
+            for (std::size_t k = 0; k < kernels::kBlockWords; ++k) {
+                const std::size_t w = b * kernels::kBlockWords + k;
+                const Word expected = w < n_words ? rows[r][w] : 0;
+                EXPECT_EQ(out[(b * n_rows + r) * kernels::kBlockWords + k], expected)
+                    << "block " << b << " row " << r << " word " << k;
+            }
+        }
+    }
+}
 
 // The fused encode→distance kernel vs the scalar reference and across
 // backends: row counts spanning the 8-row groups and every leftover shape,
-// word counts spanning vector-width tails, cached (rows_b == nullptr) and
-// uncached (XOR-on-load) forms, with and without a tie resolver.
+// word counts spanning vector widths and 512-bit block tails (n_words % 8
+// != 0), with and without a tie resolver.
 TEST(Kernels, FusedHammingScoresMatchesReferenceAcrossBackends) {
     Xoshiro256ss rng(83);
     const KernelBackend& portable = kernels::portable_backend();
@@ -456,47 +565,70 @@ TEST(Kernels, FusedHammingScoresMatchesReferenceAcrossBackends) {
     for (const std::size_t n_rows : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                      std::size_t{7}, std::size_t{8}, std::size_t{9},
                                      std::size_t{16}, std::size_t{17}, std::size_t{33}}) {
-        for (const std::size_t n_words : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                                          std::size_t{8}, std::size_t{9}, std::size_t{13}}) {
-            std::vector<std::vector<Word>> rows_a, rows_b, classes;
-            std::vector<const Word*> ptrs_a, ptrs_b, class_ptrs;
-            for (std::size_t r = 0; r < n_rows; ++r) {
-                rows_a.push_back(random_words(n_words, rng));
-                rows_b.push_back(random_words(n_words, rng));
-                ptrs_a.push_back(rows_a.back().data());
-                ptrs_b.push_back(rows_b.back().data());
-            }
-            for (std::size_t c = 0; c < n_classes; ++c) {
-                classes.push_back(random_words(n_words, rng));
-                class_ptrs.push_back(classes.back().data());
-            }
-
-            for (const bool cached : {true, false}) {
-                for (const bool with_ties : {true, false}) {
-                    const kernels::TieResolver ties = with_ties ? &pattern_ties : nullptr;
-                    const auto expected =
-                        fused_reference(rows_a,
-                                        cached ? std::vector<std::vector<Word>>{} : rows_b,
-                                        classes, n_words, ties, nullptr);
-                    std::vector<std::uint64_t> actual(n_classes, ~std::uint64_t{0});
-                    portable.fused_hamming_scores(ptrs_a.data(),
-                                                  cached ? nullptr : ptrs_b.data(), n_rows,
-                                                  class_ptrs.data(), n_classes, n_words, ties,
-                                                  nullptr, actual.data());
-                    EXPECT_EQ(actual, expected) << "portable rows=" << n_rows
-                                                << " words=" << n_words << " cached=" << cached
-                                                << " ties=" << with_ties;
-                    for (const KernelBackend* backend : simd_backends()) {
-                        std::vector<std::uint64_t> simd(n_classes, ~std::uint64_t{0});
-                        backend->fused_hamming_scores(ptrs_a.data(),
-                                                      cached ? nullptr : ptrs_b.data(), n_rows,
-                                                      class_ptrs.data(), n_classes, n_words,
-                                                      ties, nullptr, simd.data());
-                        EXPECT_EQ(simd, expected)
-                            << backend->name << " rows=" << n_rows << " words=" << n_words
-                            << " cached=" << cached << " ties=" << with_ties;
-                    }
+        for (const std::size_t n_words :
+             {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5}, std::size_t{7},
+              std::size_t{8}, std::size_t{9}, std::size_t{13}, std::size_t{16},
+              std::size_t{17}}) {
+            FusedInputs inputs = random_fused_inputs(n_rows, 3, n_words, rng);
+            const kernels::BlockMajorRows rows = inputs.pack();
+            const ClassRows classes(n_classes, n_words, rng);
+            for (const bool with_ties : {true, false}) {
+                const kernels::TieResolver ties = with_ties ? &pattern_ties : nullptr;
+                const auto expected = fused_reference(inputs, classes.rows, ties, nullptr);
+                std::vector<std::uint64_t> actual(n_classes, ~std::uint64_t{0});
+                portable.fused_hamming_scores(rows, inputs.levels.data(), classes.ptrs.data(),
+                                              n_classes, ties, nullptr, actual.data());
+                EXPECT_EQ(actual, expected)
+                    << "portable rows=" << n_rows << " words=" << n_words << " ties=" << with_ties;
+                for (const KernelBackend* backend : simd_backends()) {
+                    std::vector<std::uint64_t> simd(n_classes, ~std::uint64_t{0});
+                    backend->fused_hamming_scores(rows, inputs.levels.data(),
+                                                  classes.ptrs.data(), n_classes, ties, nullptr,
+                                                  simd.data());
+                    EXPECT_EQ(simd, expected) << backend->name << " rows=" << n_rows
+                                              << " words=" << n_words << " ties=" << with_ties;
                 }
+            }
+        }
+    }
+}
+
+// Every compile-time plane count: bit_width(n_rows) picks one of sixteen
+// instantiations, so each is driven at both of its n_rows boundaries
+// (2^(k-1) and 2^k - 1).  Three quarters of the rows set the high half of
+// every word, so those columns count up near n_rows and carry into the top
+// plane; the low half hovers around n_rows / 2 and ties for even counts.
+TEST(Kernels, FusedHammingScoresCoversEveryPlaneCount) {
+    Xoshiro256ss rng(89);
+    const std::size_t n_words = 9;  // one full block and a one-word tail
+    const std::size_t n_classes = 2;
+    const ClassRows classes(n_classes, n_words, rng);
+    for (std::size_t planes = 1; planes <= 16; ++planes) {
+        for (const std::size_t n_rows :
+             {std::size_t{1} << (planes - 1), (std::size_t{1} << planes) - 1}) {
+            ASSERT_EQ(static_cast<std::size_t>(std::bit_width(n_rows)), planes);
+            FusedInputs inputs;
+            inputs.n_words = n_words;
+            inputs.values = {std::vector<Word>(n_words, 0), random_words(n_words, rng)};
+            for (std::size_t r = 0; r < n_rows; ++r) {
+                std::vector<Word> row = random_words(n_words, rng);
+                if (r % 4 != 0) {
+                    for (auto& word : row) word |= 0xFFFFFFFF00000000ULL;
+                }
+                inputs.features.push_back(std::move(row));
+                inputs.levels.push_back(r % 16 == 5 ? 1 : 0);
+            }
+            const kernels::BlockMajorRows rows = inputs.pack();
+            Xoshiro256ss reference_rng(500 + planes);
+            const auto expected = fused_reference(inputs, classes.rows, &rng_ties, &reference_rng);
+            EXPECT_EQ(run_fused(kernels::portable_backend(), rows, inputs.levels, classes,
+                                500 + planes),
+                      expected)
+                << "portable rows=" << n_rows;
+            for (const KernelBackend* backend : simd_backends()) {
+                EXPECT_EQ(run_fused(*backend, rows, inputs.levels, classes, 500 + planes),
+                          expected)
+                    << backend->name << " rows=" << n_rows;
             }
         }
     }
@@ -505,34 +637,79 @@ TEST(Kernels, FusedHammingScoresMatchesReferenceAcrossBackends) {
 // The production tie resolver is stateful (one PRNG draw per tied column),
 // so identical distances across backends require identical resolver call
 // order and identical eq masks — this is the RNG-parity contract the
-// encoder's fused path relies on.
+// encoder's fused path relies on.  The call log must name real words only,
+// each at most once, in ascending order.
 TEST(Kernels, FusedHammingScoresDrawsStatefulTiesIdentically) {
     Xoshiro256ss rng(97);
     const std::size_t n_rows = 8;  // even: ~27% tie probability per column
     const std::size_t n_words = 11;
     const std::size_t n_classes = 4;
-    std::vector<std::vector<Word>> rows, classes;
-    std::vector<const Word*> row_ptrs, class_ptrs;
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        rows.push_back(random_words(n_words, rng));
-        row_ptrs.push_back(rows.back().data());
-    }
-    for (std::size_t c = 0; c < n_classes; ++c) {
-        classes.push_back(random_words(n_words, rng));
-        class_ptrs.push_back(classes.back().data());
-    }
+    FusedInputs inputs = random_fused_inputs(n_rows, 4, n_words, rng);
+    const kernels::BlockMajorRows rows = inputs.pack();
+    const ClassRows classes(n_classes, n_words, rng);
 
     Xoshiro256ss reference_rng(1234);
-    std::vector<std::uint64_t> expected(n_classes, 0);
-    kernels::portable_backend().fused_hamming_scores(row_ptrs.data(), nullptr, n_rows,
-                                                     class_ptrs.data(), n_classes, n_words,
-                                                     &rng_ties, &reference_rng, expected.data());
-    for (const KernelBackend* backend : simd_backends()) {
-        Xoshiro256ss backend_rng(1234);
-        std::vector<std::uint64_t> actual(n_classes, 0);
-        backend->fused_hamming_scores(row_ptrs.data(), nullptr, n_rows, class_ptrs.data(),
-                                      n_classes, n_words, &rng_ties, &backend_rng, actual.data());
-        EXPECT_EQ(actual, expected) << backend->name;
+    const auto expected = fused_reference(inputs, classes.rows, &rng_ties, &reference_rng);
+    EXPECT_EQ(run_fused(kernels::portable_backend(), rows, inputs.levels, classes, 1234),
+              expected);
+    std::vector<const KernelBackend*> backends = simd_backends();
+    backends.push_back(&kernels::portable_backend());
+    for (const KernelBackend* backend : backends) {
+        EXPECT_EQ(run_fused(*backend, rows, inputs.levels, classes, 1234), expected)
+            << backend->name;
+        TieLog log;
+        std::vector<std::uint64_t> distances(n_classes, 0);
+        backend->fused_hamming_scores(rows, inputs.levels.data(), classes.ptrs.data(), n_classes,
+                                      &logging_ties, &log, distances.data());
+        ASSERT_FALSE(log.words.empty()) << backend->name;
+        for (std::size_t i = 0; i < log.words.size(); ++i) {
+            EXPECT_LT(log.words[i], n_words) << backend->name;
+            EXPECT_NE(log.masks[i], 0u) << backend->name;
+            if (i > 0) {
+                EXPECT_GT(log.words[i], log.words[i - 1]) << backend->name;
+            }
+        }
+    }
+}
+
+// The padded words of the last block must never reach the compare, the tie
+// resolver or the class scoring, even when they are not zero: dirty padding
+// here counts n_rows in every padded column (above the threshold) and a
+// padded class word would be read past the end of the class row.
+TEST(Kernels, FusedHammingScoresIgnoresPaddedWords) {
+    Xoshiro256ss rng(101);
+    const std::size_t n_classes = 3;
+    for (const std::size_t n_words : {std::size_t{1}, std::size_t{3}, std::size_t{5},
+                                      std::size_t{9}, std::size_t{15}}) {
+        for (const std::size_t n_rows : {std::size_t{2}, std::size_t{6}, std::size_t{9}}) {
+            FusedInputs inputs = random_fused_inputs(n_rows, 2, n_words, rng);
+            kernels::BlockMajorRows rows = inputs.pack();
+            const std::size_t n_blocks = (n_words + kernels::kBlockWords - 1) / kernels::kBlockWords;
+            for (std::size_t r = 0; r < n_rows; ++r) {
+                Word* block =
+                    inputs.feature_blocks.data() + ((n_blocks - 1) * n_rows + r) * kernels::kBlockWords;
+                for (std::size_t k = n_words % kernels::kBlockWords;
+                     k != 0 && k < kernels::kBlockWords; ++k) {
+                    block[k] = ~Word{0};
+                }
+            }
+            const ClassRows classes(n_classes, n_words, rng);
+            Xoshiro256ss reference_rng(7);
+            const auto expected = fused_reference(inputs, classes.rows, &rng_ties, &reference_rng);
+            std::vector<const KernelBackend*> backends = simd_backends();
+            backends.push_back(&kernels::portable_backend());
+            for (const KernelBackend* backend : backends) {
+                EXPECT_EQ(run_fused(*backend, rows, inputs.levels, classes, 7), expected)
+                    << backend->name << " rows=" << n_rows << " words=" << n_words;
+                TieLog log;
+                std::vector<std::uint64_t> distances(n_classes, 0);
+                backend->fused_hamming_scores(rows, inputs.levels.data(), classes.ptrs.data(),
+                                              n_classes, &logging_ties, &log, distances.data());
+                for (const std::size_t word : log.words) {
+                    EXPECT_LT(word, n_words) << backend->name << " rows=" << n_rows;
+                }
+            }
+        }
     }
 }
 
@@ -540,10 +717,16 @@ TEST(Kernels, FusedHammingScoresZeroRowsZeroesDistances) {
     Xoshiro256ss rng(11);
     const auto cls = random_words(5, rng);
     const Word* class_ptrs[] = {cls.data()};
-    std::vector<std::uint64_t> distances(1, ~std::uint64_t{0});
-    kernels::active().fused_hamming_scores(nullptr, nullptr, 0, class_ptrs, 1, 5, nullptr,
-                                           nullptr, distances.data());
-    EXPECT_EQ(distances[0], 0u);
+    kernels::BlockMajorRows rows;
+    rows.n_words = 5;
+    std::vector<const KernelBackend*> backends = simd_backends();
+    backends.push_back(&kernels::portable_backend());
+    for (const KernelBackend* backend : backends) {
+        std::vector<std::uint64_t> distances(1, ~std::uint64_t{0});
+        backend->fused_hamming_scores(rows, nullptr, class_ptrs, 1, nullptr, nullptr,
+                                      distances.data());
+        EXPECT_EQ(distances[0], 0u) << backend->name;
+    }
 }
 
 // ColumnCounter::add_rows must be exactly add() per row — plane-identical
