@@ -3,11 +3,12 @@
 /// ablations called out in DESIGN.md §4:
 ///
 ///  - MAP operator kernels (bind, rotate, Hamming) across dimensions;
-///  - record encoding: bit-sliced column accumulation vs. the naive
+///  - record encoding: the block-major counts kernel vs. the naive
 ///    per-element reference (the encoder hot-loop ablation), and the
-///    batch-first pipeline: scratch-reusing encode_batch with the fused
-///    add_xor kernel, with and without the N x M BoundProductCache;
-///  - Eq. 9 feature materialization cost vs. the number of key layers;
+///    batch-first pipeline: scratch-reusing encode_batch, with and without
+///    the N x M BoundProductCache;
+///  - Eq. 9 feature materialization cost vs. the number of key layers, and
+///    the owner-side retraining of a key rotation (BM_HdcFit);
 ///  - the feature attack's full-distance vs. restricted-index criterion
 ///    (the attack-cost ablation);
 ///  - the Sec. 4.2 single-parameter sweep, the unit of the (D*P)^L search;
@@ -26,9 +27,10 @@
 ///                 (default BENCH_ops.json); commit one BENCH_*.json per perf
 ///                 PR so the throughput trajectory is recorded in-repo.  The
 ///                 context records nproc; with --benchmark_repetitions the
-///                 backend-comparison family also reports a
-///                 median-absolute-deviation aggregate ("mad"), and every run
-///                 of it the host steal share (counter "steal_frac")
+///                 backend-comparison family, BM_EncodeBatch*, and BM_HdcFit
+///                 also report a median-absolute-deviation aggregate ("mad"),
+///                 and every backend-comparison run the host steal share
+///                 (counter "steal_frac")
 
 #include <benchmark/benchmark.h>
 
@@ -50,6 +52,7 @@
 #include "attack/oracle.hpp"
 #include "core/locked_encoder.hpp"
 #include "data/synthetic.hpp"
+#include "hdc/classifier.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/item_memory.hpp"
 #include "hdc/model.hpp"
@@ -103,6 +106,23 @@ void BM_Hamming(benchmark::State& state) {
 }
 BENCHMARK(BM_Hamming)->Arg(1024)->Arg(10000);
 
+double median_of(std::vector<double> values) {
+    if (values.empty()) return 0.0;
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 != 0 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
+}
+
+/// Median absolute deviation of the repetitions, the spread next to the
+/// median that one slow (stolen) repetition cannot inflate.
+double median_absolute_deviation(const std::vector<double>& values) {
+    const double center = median_of(values);
+    std::vector<double> deviations;
+    deviations.reserve(values.size());
+    for (const double value : values) deviations.push_back(std::abs(value - center));
+    return median_of(std::move(deviations));
+}
+
 void BM_IntHVSign(benchmark::State& state) {
     const auto dim = static_cast<std::size_t>(state.range(0));
     util::Xoshiro256ss rng(6);
@@ -119,7 +139,8 @@ void BM_IntHVSign(benchmark::State& state) {
 }
 BENCHMARK(BM_IntHVSign)->Arg(1024)->Arg(10000);
 
-/// Encoder hot loop: bit-sliced accumulation (the shipping implementation).
+/// Encoder hot loop through the per-row API (encode(): a fresh scratch per
+/// call): the block-major counts kernel, the shipping uncached path.
 void BM_EncodeBitsliced(benchmark::State& state) {
     const auto n_features = static_cast<std::size_t>(state.range(0));
     hdc::ItemMemoryConfig config;
@@ -165,10 +186,12 @@ void BM_EncodeReference(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeReference)->Arg(64)->Arg(256)->Arg(784);
 
-/// Batch-first encoding: scratch reused across rows, XOR fused into the
-/// counter (ColumnCounter::add_xor), zero per-row allocations.  Compare
-/// items/s against BM_EncodeBitsliced (the per-row API) for the pipeline
-/// win, and against BM_EncodeBatchCached for the product-cache win.
+/// Batch-first encoding: scratch reused across rows, the encoder's
+/// block-major layout streamed through register-resident count planes
+/// (util::kernels block_major_counts, the bind XOR applied on load), zero
+/// per-row allocations.  Compare items/s against BM_EncodeBitsliced (the
+/// per-row API) for the pipeline win, and against BM_EncodeBatchCached for
+/// what the product cache buys (or costs).
 void BM_EncodeBatch(benchmark::State& state) {
     const auto n_features = static_cast<std::size_t>(state.range(0));
     hdc::ItemMemoryConfig config;
@@ -193,11 +216,12 @@ void BM_EncodeBatch(benchmark::State& state) {
                             static_cast<std::int64_t>(levels.rows()) *
                             static_cast<std::int64_t>(n_features) * 4096);
 }
-BENCHMARK(BM_EncodeBatch)->Arg(64)->Arg(256)->Arg(784);
+BENCHMARK(BM_EncodeBatch)->Arg(64)->Arg(256)->Arg(784)->ComputeStatistics(
+    "mad", &median_absolute_deviation);
 
-/// The same batch through the N x M BoundProductCache: each row is pure
-/// counter adds (no XORs).  The ablation behind SessionOptions::
-/// use_product_cache.
+/// The same batch through the N x M BoundProductCache: each row folds the
+/// precomputed products through a ColumnCounter (no XORs).  The ablation
+/// behind SessionOptions::use_product_cache.
 void BM_EncodeBatchCached(benchmark::State& state) {
     const auto n_features = static_cast<std::size_t>(state.range(0));
     hdc::ItemMemoryConfig config;
@@ -223,7 +247,8 @@ void BM_EncodeBatchCached(benchmark::State& state) {
                             static_cast<std::int64_t>(levels.rows()) *
                             static_cast<std::int64_t>(n_features) * 4096);
 }
-BENCHMARK(BM_EncodeBatchCached)->Arg(64)->Arg(256)->Arg(784);
+BENCHMARK(BM_EncodeBatchCached)->Arg(64)->Arg(256)->Arg(784)->ComputeStatistics(
+    "mad", &median_absolute_deviation);
 
 /// Eq. 9 product cost per feature as the key deepens (bench_fig9's software
 /// cross-check, isolated).
@@ -247,6 +272,36 @@ void BM_MaterializeFeature(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_MaterializeFeature)->DenseRange(1, 5);
+
+/// Owner-side retraining, the work of one Owner::rotate: HdcClassifier::fit
+/// of a binary model (10 retraining epochs) on the mnist_like training set
+/// (2000 rows, N = 784) through a fresh LockedEncoder (D = 10000, L = 2)
+/// per iteration, so the encoder's block-major layout is built inside the
+/// timed region, as in a rotation.
+void BM_HdcFit(benchmark::State& state) {
+    static const data::SyntheticBenchmark benchmark_data =
+        data::make_benchmark(data::mnist_like());
+    DeploymentConfig config;
+    config.dim = 10000;
+    config.n_features = benchmark_data.spec.n_features;
+    config.n_levels = benchmark_data.spec.n_levels;
+    config.n_layers = 2;
+    config.seed = 29;
+    const Deployment deployment = provision(config);
+    hdc::PipelineConfig pipeline;
+    pipeline.train.kind = hdc::ModelKind::binary;
+    for (auto _ : state) {
+        const auto encoder = std::make_shared<const LockedEncoder>(
+            deployment.store, deployment.secure->key().clone(),
+            deployment.secure->value_mapping(), config.tie_seed);
+        const auto classifier = hdc::HdcClassifier::fit(benchmark_data.train, encoder, pipeline);
+        benchmark::DoNotOptimize(classifier.train_accuracy());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(benchmark_data.train.n_samples()));
+}
+BENCHMARK(BM_HdcFit)->Unit(benchmark::kMillisecond)->ComputeStatistics(
+    "mad", &median_absolute_deviation);
 
 struct AttackFixture {
     Deployment deployment;
@@ -882,23 +937,6 @@ double steal_share(const CpuTimes& before, const CpuTimes& after) {
     if (!before.valid || !after.valid || after.total <= before.total) return 0.0;
     return static_cast<double>(after.steal - before.steal) /
            static_cast<double>(after.total - before.total);
-}
-
-double median_of(std::vector<double> values) {
-    if (values.empty()) return 0.0;
-    std::sort(values.begin(), values.end());
-    const std::size_t mid = values.size() / 2;
-    return values.size() % 2 != 0 ? values[mid] : (values[mid - 1] + values[mid]) / 2.0;
-}
-
-/// Median absolute deviation of the repetitions, the spread next to the
-/// median that one slow (stolen) repetition cannot inflate.
-double median_absolute_deviation(const std::vector<double>& values) {
-    const double center = median_of(values);
-    std::vector<double> deviations;
-    deviations.reserve(values.size());
-    for (const double value : values) deviations.push_back(std::abs(value - center));
-    return median_of(std::move(deviations));
 }
 
 /// Registers one comparison benchmark with the steal counter and the MAD

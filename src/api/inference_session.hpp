@@ -91,15 +91,17 @@ struct SessionOptions {
     /// handful of rows costs more than it saves.
     std::size_t min_rows_per_thread = 16;
     /// Opt-in hdc::BoundProductCache: precompute all N x M bound products at
-    /// session construction so every row the two-step or non-binary path
-    /// encodes is pure counter adds (no XORs).  The fused path
-    /// (fused_predict) never reads the cache, so an epoch served on it
-    /// does not build one: it streams the encoder's block-major layout,
-    /// which measured faster than the N x M table on the 784-feature
-    /// serving shape (the table outgrows L2).  Trades N * M * D bits of
-    /// memory for encode throughput; silently skipped when the table would
-    /// exceed the cap below (the session falls back to the fused-XOR
-    /// encode).  Results are bit-identical either way.
+    /// session construction and fold every row the two-step or non-binary
+    /// path encodes through a ColumnCounter over them (no XORs).  Costs
+    /// N * M * D bits of memory and no longer buys encode throughput: the
+    /// uncached encode streams the encoder's block-major layout through
+    /// register-resident count planes, and BM_EncodeBatchCached measured
+    /// 1.8x (N = 64) to 6.4x (N = 784) slower than BM_EncodeBatch at
+    /// D = 4096, M = 16 on a 4-vCPU avx512 host.  The fused path
+    /// (fused_predict) never reads the cache, so an epoch served on it does
+    /// not build one.  Silently skipped when the table would exceed the cap
+    /// below (the session then encodes uncached).  Results are bit-identical
+    /// either way.
     bool use_product_cache = false;
     /// Byte cap on the product cache (default 256 MiB).
     std::size_t product_cache_max_bytes = std::size_t{256} << 20;

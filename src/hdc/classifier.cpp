@@ -39,12 +39,18 @@ EncodedBatch HdcClassifier::encode_dataset(const data::Dataset& dataset, bool wi
     // Row-at-a-time through one reused scratch (the same kernel as
     // Encoder::encode_batch) rather than materializing a full level matrix:
     // the extra memory stays O(n_features) however large the dataset is.
+    // Each row is encoded once; its binarization signs those sums with the
+    // tie stream encode_binary_into would draw, so both encodings are
+    // exactly what the per-row calls return.
     EncoderScratch scratch;
     std::vector<int>& levels = scratch.levels(dataset.n_features());
     for (std::size_t s = 0; s < dataset.n_samples(); ++s) {
         discretizer_.transform_row(dataset.X.row(s), levels);
         encoder_->encode_into(levels, scratch, batch.non_binary[s]);
-        if (with_binary) encoder_->encode_binary_into(levels, scratch, batch.binary[s]);
+        if (with_binary) {
+            util::Xoshiro256ss tie_rng = encoder_->tie_rng(levels);
+            batch.non_binary[s].sign_into(tie_rng, batch.binary[s]);
+        }
     }
     return batch;
 }

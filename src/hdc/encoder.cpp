@@ -148,6 +148,18 @@ void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch, 
                           const BoundProductCache* cache) const {
     check_levels(levels);
     const std::size_t d = dim();
+    if (cache == nullptr && levels.size() <= util::kernels::kMaxFusedRows) {
+        // The block-major layout through register-resident count planes,
+        // unpacked once per 512-bit block (see block_major_counts).
+        const util::kernels::BlockMajorRows& rows = fused_layout().rows();
+        scratch.counts_.resize(rows.n_words * bits::kWordBits);
+        util::kernels::active().block_major_counts(rows, levels.data(), scratch.counts_.data());
+        out.resize(d);
+        const auto n = static_cast<std::int32_t>(levels.size());
+        const std::span<std::int32_t> sums = out.values();
+        for (std::size_t j = 0; j < d; ++j) sums[j] = n - 2 * scratch.counts_[j];
+        return;
+    }
     // Plane count sized to the feature count: the whole row accumulates
     // without an intermediate flush, and the result is read straight out of
     // the planes (see ColumnCounter::bipolar_sums_into).
@@ -178,8 +190,12 @@ void Encoder::encode_into(std::span<const int> levels, EncoderScratch& scratch, 
 void Encoder::encode_binary_into(std::span<const int> levels, EncoderScratch& scratch,
                                  BinaryHV& out, const BoundProductCache* cache) const {
     encode_into(levels, scratch, scratch.sums_, cache);
-    util::Xoshiro256ss tie_rng(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
-    scratch.sums_.sign_into(tie_rng, out);
+    util::Xoshiro256ss rng = tie_rng(levels);
+    scratch.sums_.sign_into(rng, out);
+}
+
+util::Xoshiro256ss Encoder::tie_rng(std::span<const int> levels) const noexcept {
+    return util::Xoshiro256ss(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
 }
 
 void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
@@ -199,9 +215,9 @@ void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& sc
     }
 
     const util::kernels::BlockMajorRows& rows = fused_layout().rows();
-    util::Xoshiro256ss tie_rng(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
+    util::Xoshiro256ss rng = tie_rng(levels);
     util::kernels::active().fused_hamming_scores(rows, levels.data(), scratch.class_rows_.data(),
-                                                 class_hvs.size(), &resolve_fused_ties, &tie_rng,
+                                                 class_hvs.size(), &resolve_fused_ties, &rng,
                                                  distances.data());
 }
 
@@ -246,23 +262,6 @@ RecordEncoder::RecordEncoder(std::shared_ptr<const ItemMemory> memory, std::uint
     : Encoder(tie_seed), memory_(std::move(memory)) {
     HDLOCK_EXPECTS(memory_ != nullptr, "RecordEncoder: null item memory");
     HDLOCK_EXPECTS(memory_->n_features() > 0, "RecordEncoder: item memory has no feature HVs");
-}
-
-IntHV encode_with_hvs(std::span<const BinaryHV> feature_hvs, std::span<const BinaryHV> value_hvs,
-                      std::span<const int> levels) {
-    HDLOCK_EXPECTS(!feature_hvs.empty(), "encode_with_hvs: no feature hypervectors");
-    HDLOCK_EXPECTS(levels.size() == feature_hvs.size(), "encode_with_hvs: shape mismatch");
-    const std::size_t dim = feature_hvs.front().dim();
-
-    util::ColumnCounter counter(dim, util::ColumnCounter::planes_for_rows(levels.size()));
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        counter.add_xor(feature_hvs[i].words(),
-                        value_hvs[static_cast<std::size_t>(levels[i])].words());
-    }
-
-    IntHV sums(dim);
-    counter.bipolar_sums_into(sums.values());
-    return sums;
 }
 
 IntHV RecordEncoder::encode_reference(std::span<const int> levels) const {

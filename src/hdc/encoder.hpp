@@ -12,15 +12,18 @@
 /// The encode kernel itself lives once in the base class, written against
 /// the subclasses' materialized hypervector arrays (feature_hv_array /
 /// value_hv_array): every row bundles the N bound products FeaHV_i ^
-/// ValHV_{levels[i]} through a bit-sliced ColumnCounter, with the XOR fused
-/// into the counter (ColumnCounter::add_xor) so no per-row product vector is
-/// ever materialized.  The batch entry points (encode_batch /
-/// encode_binary_batch) additionally reuse an EncoderScratch across rows, so
-/// a served batch performs no per-row heap allocation at all, and can run
-/// against a BoundProductCache that precomputes all N x M bound products —
-/// turning each row into pure counter adds.  The fused encode→distance path
-/// (fused_hamming_into) instead streams a block-major copy of the same
-/// arrays (FusedLayout), built once per encoder on its first fused call.
+/// ValHV_{levels[i]}.  Both uncached paths stream a block-major copy of
+/// those arrays (FusedLayout, built once per encoder on first use) through
+/// register-resident count planes, the XOR applied on load so no per-row
+/// product vector is ever materialized: encode_into unpacks the planes
+/// into per-column counts (util::kernels block_major_counts), the fused
+/// encode→distance path (fused_hamming_into) binarizes and scores them in
+/// place.  The batch entry points (encode_batch / encode_binary_batch)
+/// reuse an EncoderScratch across rows, so a served batch performs no
+/// per-row heap allocation at all, and can run against a BoundProductCache
+/// that precomputes all N x M bound products — each row then folds through
+/// a bit-sliced ColumnCounter, as does any encoder with more than
+/// util::kernels::kMaxFusedRows features.
 ///
 /// Binarization ties: Eq. 3 assigns sign(0) randomly.  To keep an encoder a
 /// *function* (the same input always yields the same output, as a hardware
@@ -41,6 +44,7 @@
 #include "util/bitslice.hpp"
 #include "util/kernels.hpp"
 #include "util/matrix.hpp"
+#include "util/rng.hpp"
 #include "util/sync.hpp"
 
 namespace hdlock::hdc {
@@ -108,10 +112,11 @@ private:
 };
 
 /// Reusable per-worker state for the allocation-free encode paths: the
-/// bit-sliced counter, the non-binary sums buffer feeding binarization, and
-/// a levels buffer callers may use for discretization.  One scratch per
-/// thread; a scratch adapts automatically when used with encoders of
-/// different shapes.
+/// per-column counts of the block-major kernel, the bit-sliced counter of
+/// the cached and oversized paths, the non-binary sums buffer feeding
+/// binarization, and a levels buffer callers may use for discretization.
+/// One scratch per thread; a scratch adapts automatically when used with
+/// encoders of different shapes.
 class EncoderScratch {
 public:
     EncoderScratch() = default;
@@ -137,6 +142,7 @@ private:
     util::ColumnCounter& counter(std::size_t dim, std::size_t n_planes);
 
     std::optional<util::ColumnCounter> counter_;
+    std::vector<std::int32_t> counts_;  // block_major_counts output, 64 per word
     IntHV sums_;            // non-binary encoding en route to sign()
     std::vector<int> levels_;
     std::vector<const util::bits::Word*> products_;    // cached encode: product rows
@@ -165,8 +171,11 @@ public:
     BinaryHV encode_binary(std::span<const int> levels) const;
 
     /// Allocation-free single-row encode: writes H_nb into `out` (re-shaped
-    /// to dim()), reusing the scratch's counter.  With a cache (built by
-    /// make_product_cache) the row is pure counter adds.  Bit-identical to
+    /// to dim()), reusing the scratch's buffers.  Without a cache the row
+    /// streams fused_layout() (built on the first call) through the
+    /// backend's block_major_counts kernel; with a cache (built by
+    /// make_product_cache), or past util::kernels::kMaxFusedRows features,
+    /// it folds through the scratch's ColumnCounter.  Bit-identical to
     /// encode() on every input.
     void encode_into(std::span<const int> levels, EncoderScratch& scratch, IntHV& out,
                      const BoundProductCache* cache = nullptr) const;
@@ -219,6 +228,11 @@ public:
 
     std::uint64_t tie_seed() const noexcept { return tie_seed_; }
 
+    /// The generator every binary path breaks sign(0) ties of `levels` with:
+    /// seeded hash_mix(tie_seed(), fnv1a_of(levels)), so sign_into of
+    /// encode_into's sums with it equals encode_binary_into.
+    util::Xoshiro256ss tie_rng(std::span<const int> levels) const noexcept;
+
 protected:
     /// Validates a level vector against this encoder's shape.
     void check_levels(std::span<const int> levels) const;
@@ -258,11 +272,5 @@ protected:
 private:
     std::shared_ptr<const ItemMemory> memory_;
 };
-
-/// Bundles the bound (ValHV x FeaHV) products for a level vector given
-/// explicit hypervector arrays; the free-function form of the shared kernel
-/// (kept for callers that hold raw arrays rather than an Encoder).
-IntHV encode_with_hvs(std::span<const BinaryHV> feature_hvs, std::span<const BinaryHV> value_hvs,
-                      std::span<const int> levels);
 
 }  // namespace hdlock::hdc

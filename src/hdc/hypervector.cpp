@@ -1,7 +1,9 @@
 #include "hdc/hypervector.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 namespace hdlock::hdc {
@@ -217,15 +219,64 @@ BinaryHV IntHV::sign(util::Xoshiro256ss& tie_rng) const {
     return out;
 }
 
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "sign_word_masks packs bytes loaded as little-endian words");
+
+/// Bit b of `negative` / `zero` set when values[b] < 0 / == 0, for one full
+/// word of 64 columns.  The compares write one 0/1 byte per column (a loop
+/// the compiler vectorizes); each run of eight bytes then packs into eight
+/// bits with one multiply: byte k of x lands alone on bit 56 + k of
+/// x * 0x0102040810204080 (every partial product owns a distinct bit, so
+/// nothing carries).
+void sign_word_masks(const std::int32_t* values, Word& negative, Word& zero) noexcept {
+    constexpr Word kGather = 0x0102040810204080ULL;
+    std::uint8_t is_negative[bits::kWordBits];
+    std::uint8_t is_zero[bits::kWordBits];
+    for (std::size_t b = 0; b < bits::kWordBits; ++b) {
+        is_negative[b] = values[b] < 0 ? 1 : 0;
+        is_zero[b] = values[b] == 0 ? 1 : 0;
+    }
+    negative = 0;
+    zero = 0;
+    for (std::size_t g = 0; g < bits::kWordBits / 8; ++g) {
+        Word x;
+        Word y;
+        std::memcpy(&x, is_negative + 8 * g, sizeof(Word));
+        std::memcpy(&y, is_zero + 8 * g, sizeof(Word));
+        negative |= ((x * kGather) >> 56) << (8 * g);
+        zero |= ((y * kGather) >> 56) << (8 * g);
+    }
+}
+
+}  // namespace
+
 void IntHV::sign_into(util::Xoshiro256ss& tie_rng, BinaryHV& out) const {
     HDLOCK_EXPECTS(!empty(), "IntHV::sign: empty hypervector");
     const auto vals = values();
     out.reset(dim());
     auto words = out.words();
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        const std::int32_t v = vals[i];
-        const bool negative = v < 0 || (v == 0 && tie_rng.next_sign() < 0);
-        if (negative) bits::set_bit(words, i, true);
+    // One 64-column word at a time: the negative and zero masks branch-free,
+    // then one next_sign() per zero column, LSB first.  That is ascending
+    // column order — the draw order of the fused kernel's tie resolver.
+    for (std::size_t w = 0; w < words.size(); ++w) {
+        const std::size_t base = w * bits::kWordBits;
+        Word negative = 0;
+        Word zero = 0;
+        if (vals.size() - base >= bits::kWordBits) {
+            sign_word_masks(vals.data() + base, negative, zero);
+        } else {
+            for (std::size_t b = 0; base + b < vals.size(); ++b) {
+                negative |= static_cast<Word>(vals[base + b] < 0) << b;
+                zero |= static_cast<Word>(vals[base + b] == 0) << b;
+            }
+        }
+        while (zero != 0) {
+            if (tie_rng.next_sign() < 0) negative |= zero & (~zero + 1);  // lowest zero bit
+            zero &= zero - 1;
+        }
+        words[w] = negative;
     }
 }
 

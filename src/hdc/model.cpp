@@ -25,15 +25,18 @@ HdcModel HdcModel::train(const EncodedBatch& batch, int n_classes, const TrainCo
         HDLOCK_EXPECTS(label >= 0 && label < n_classes, "HdcModel::train: label out of range");
         model.class_sums_[static_cast<std::size_t>(label)].add(batch.non_binary[s]);
     }
-    model.recompute_norms_();
+    // Binary training predicts by Hamming distance and never reads the
+    // norms: it computes them once, after the loop (a norm is a pure
+    // function of its final sum, so the cache comes out the same).
+    if (!binary) model.recompute_norms_();
 
     util::Xoshiro256ss tie_rng(util::hash_mix(config.seed, 0xB1AA));
     if (binary) model.rebinarize_(tie_rng);
 
     // QuantHD-style retraining: predict with the deployed representation and
-    // repair mistakes in the full-precision sums.  The norm cache tracks the
-    // two classes each repair touches, so mid-epoch non-binary predictions
-    // see exactly the norms a fresh computation would.
+    // repair mistakes in the full-precision sums.  For non-binary training
+    // the norm cache tracks the two classes each repair touches, so
+    // mid-epoch predictions see exactly the norms a fresh computation would.
     for (int epoch = 0; epoch < config.retrain_epochs; ++epoch) {
         std::size_t mistakes = 0;
         for (std::size_t s = 0; s < batch.size(); ++s) {
@@ -46,13 +49,16 @@ HdcModel HdcModel::train(const EncodedBatch& batch, int n_classes, const TrainCo
                 model.class_sums_[static_cast<std::size_t>(truth)].add(batch.non_binary[s]);
                 model.class_sums_[static_cast<std::size_t>(predicted)].sub(batch.non_binary[s]);
             }
-            model.recompute_norm_(static_cast<std::size_t>(truth));
-            model.recompute_norm_(static_cast<std::size_t>(predicted));
+            if (!binary) {
+                model.recompute_norm_(static_cast<std::size_t>(truth));
+                model.recompute_norm_(static_cast<std::size_t>(predicted));
+            }
         }
         if (binary) model.rebinarize_(tie_rng);
         model.epochs_run_ = epoch + 1;
         if (config.stop_when_clean && mistakes == 0) break;
     }
+    if (binary) model.recompute_norms_();
     return model;
 }
 
@@ -80,6 +86,11 @@ const BinaryHV& HdcModel::class_binary(int cls) const {
     HDLOCK_EXPECTS(kind_ == ModelKind::binary, "HdcModel::class_binary: non-binary model");
     HDLOCK_EXPECTS(cls >= 0 && cls < n_classes(), "HdcModel::class_binary: class out of range");
     return class_binary_[static_cast<std::size_t>(cls)];
+}
+
+double HdcModel::class_norm(int cls) const {
+    HDLOCK_EXPECTS(cls >= 0 && cls < n_classes(), "HdcModel::class_norm: class out of range");
+    return class_norms_[static_cast<std::size_t>(cls)];
 }
 
 int HdcModel::predict(const IntHV& query) const {

@@ -66,6 +66,8 @@ public:
     const IntHV& class_sum(int cls) const;
     /// Binarized class hypervector; only valid for binary models.
     const BinaryHV& class_binary(int cls) const;
+    /// ||ClassHV_j||: the cached norm non-binary inference divides by.
+    double class_norm(int cls) const;
 
     /// Non-binary inference: argmax cosine(query, ClassHV_j).  Class-HV
     /// norms are precomputed (and kept in sync through training updates), so

@@ -119,80 +119,92 @@ void ripple(Word* planes, std::size_t start, Word carry) noexcept {
     }
 }
 
-/// The fused kernel over every block, bit_width(n_rows) == Planes.  Each
-/// step walks one block's rows eight at a time and runs the CSA tree on
-/// all eight words of the block, so the rows are read in layout order.
+/// The accumulate both block-major kernels share, bit_width(n_rows) ==
+/// Planes: folds block b's n_rows bound rows into planes[k][p] (bit p of
+/// the column counts of the block's word k — word-major, the unpack_planes
+/// layout).  Each step walks the rows eight at a time and runs the CSA tree
+/// on all eight words of the block, so the rows are read in layout order.
+template <std::size_t Planes>
+void accumulate_block(const BlockMajorRows& rows, const int* levels, std::size_t b,
+                      Word (&planes)[kBlockWords][Planes]) noexcept {
+    const std::size_t n_rows = rows.n_rows;
+    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
+    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
+    const auto bound = [&](std::size_t r, std::size_t k) {
+        return feature[r * kBlockWords + k] ^
+               value[static_cast<std::size_t>(levels[r]) * kBlockWords + k];
+    };
+    for (auto& word_planes : planes) std::fill(word_planes, word_planes + Planes, Word{0});
+    Word ones[kBlockWords] = {};
+    Word twos[kBlockWords] = {};
+    Word fours[kBlockWords] = {};
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        for (std::size_t k = 0; k < kBlockWords; ++k) {
+            Word x[8];
+            for (std::size_t j = 0; j < 8; ++j) x[j] = bound(r + j, k);
+            // Same tree as csa_rows_words, registers only.
+            Word one = ones[k];
+            Word two = twos[k];
+            Word u = one ^ x[0];
+            const Word twos_a = (one & x[0]) | (u & x[1]);
+            one = u ^ x[1];
+            u = one ^ x[2];
+            const Word twos_b = (one & x[2]) | (u & x[3]);
+            one = u ^ x[3];
+            Word u2 = two ^ twos_a;
+            const Word fours_a = (two & twos_a) | (u2 & twos_b);
+            two = u2 ^ twos_b;
+            u = one ^ x[4];
+            const Word twos_c = (one & x[4]) | (u & x[5]);
+            one = u ^ x[5];
+            u = one ^ x[6];
+            const Word twos_d = (one & x[6]) | (u & x[7]);
+            one = u ^ x[7];
+            u2 = two ^ twos_c;
+            const Word fours_b = (two & twos_c) | (u2 & twos_d);
+            two = u2 ^ twos_d;
+            const Word u3 = fours[k] ^ fours_a;
+            const Word carry = (fours[k] & fours_a) | (u3 & fours_b);
+            fours[k] = u3 ^ fours_b;
+            ones[k] = one;
+            twos[k] = two;
+            ripple<Planes>(planes[k], 3, carry);
+        }
+    }
+    for (; r < n_rows; ++r) {
+        for (std::size_t k = 0; k < kBlockWords; ++k) {
+            const Word x = bound(r, k);
+            const Word c1 = ones[k] & x;
+            ones[k] ^= x;
+            const Word c2 = twos[k] & c1;
+            twos[k] ^= c1;
+            const Word c3 = fours[k] & c2;
+            fours[k] ^= c2;
+            ripple<Planes>(planes[k], 3, c3);
+        }
+    }
+    for (std::size_t k = 0; k < kBlockWords; ++k) {
+        ripple<Planes>(planes[k], 0, ones[k]);
+        ripple<Planes>(planes[k], 1, twos[k]);
+        ripple<Planes>(planes[k], 2, fours[k]);
+    }
+}
+
+/// The fused kernel over every block, bit_width(n_rows) == Planes.
 template <std::size_t Planes>
 void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
                   std::size_t n_classes, TieResolver ties, void* tie_ctx,
                   std::uint64_t* distances) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word threshold = n_rows / 2;
-    const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
+    const Word threshold = rows.n_rows / 2;
+    const bool can_tie = (rows.n_rows % 2) == 0 && ties != nullptr;
     const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
     for (std::size_t b = 0; b < n_blocks; ++b) {
-        const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
-        const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
-        const auto bound = [&](std::size_t r, std::size_t k) {
-            return feature[r * kBlockWords + k] ^
-                   value[static_cast<std::size_t>(levels[r]) * kBlockWords + k];
-        };
-        Word planes[kBlockWords][Planes] = {};
-        Word ones[kBlockWords] = {};
-        Word twos[kBlockWords] = {};
-        Word fours[kBlockWords] = {};
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            for (std::size_t k = 0; k < kBlockWords; ++k) {
-                Word x[8];
-                for (std::size_t j = 0; j < 8; ++j) x[j] = bound(r + j, k);
-                // Same tree as csa_rows_words, registers only.
-                Word one = ones[k];
-                Word two = twos[k];
-                Word u = one ^ x[0];
-                const Word twos_a = (one & x[0]) | (u & x[1]);
-                one = u ^ x[1];
-                u = one ^ x[2];
-                const Word twos_b = (one & x[2]) | (u & x[3]);
-                one = u ^ x[3];
-                Word u2 = two ^ twos_a;
-                const Word fours_a = (two & twos_a) | (u2 & twos_b);
-                two = u2 ^ twos_b;
-                u = one ^ x[4];
-                const Word twos_c = (one & x[4]) | (u & x[5]);
-                one = u ^ x[5];
-                u = one ^ x[6];
-                const Word twos_d = (one & x[6]) | (u & x[7]);
-                one = u ^ x[7];
-                u2 = two ^ twos_c;
-                const Word fours_b = (two & twos_c) | (u2 & twos_d);
-                two = u2 ^ twos_d;
-                const Word u3 = fours[k] ^ fours_a;
-                const Word carry = (fours[k] & fours_a) | (u3 & fours_b);
-                fours[k] = u3 ^ fours_b;
-                ones[k] = one;
-                twos[k] = two;
-                ripple<Planes>(planes[k], 3, carry);
-            }
-        }
-        for (; r < n_rows; ++r) {
-            for (std::size_t k = 0; k < kBlockWords; ++k) {
-                const Word x = bound(r, k);
-                const Word c1 = ones[k] & x;
-                ones[k] ^= x;
-                const Word c2 = twos[k] & c1;
-                twos[k] ^= c1;
-                const Word c3 = fours[k] & c2;
-                fours[k] ^= c2;
-                ripple<Planes>(planes[k], 3, c3);
-            }
-        }
+        Word planes[kBlockWords][Planes];
+        accumulate_block<Planes>(rows, levels, b, planes);
         const std::size_t w0 = b * kBlockWords;
         const std::size_t n_valid = std::min(kBlockWords, rows.n_words - w0);
         for (std::size_t k = 0; k < n_valid; ++k) {
-            ripple<Planes>(planes[k], 0, ones[k]);
-            ripple<Planes>(planes[k], 1, twos[k]);
-            ripple<Planes>(planes[k], 2, fours[k]);
             // Binarize without unpacking: a bit-sliced lexicographic compare
             // of the per-column counts against the threshold, MSB plane
             // first.  A set query bit means count > n_rows/2, i.e. a
@@ -214,8 +226,25 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
     }
 }
 
+/// The counts kernel over every block, bit_width(n_rows) == Planes: the
+/// shared accumulate, then the block's real words unpacked.
+template <std::size_t Planes>
+void count_blocks(const BlockMajorRows& rows, const int* levels, std::int32_t* counts) noexcept {
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        Word planes[kBlockWords][Planes];
+        accumulate_block<Planes>(rows, levels, b, planes);
+        const std::size_t w0 = b * kBlockWords;
+        const std::size_t n_valid = std::min(kBlockWords, rows.n_words - w0);
+        std::int32_t* out = counts + w0 * 64;
+        std::fill(out, out + n_valid * 64, 0);
+        unpack_planes(&planes[0][0], n_valid, Planes, out);
+    }
+}
+
 using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
                                std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+using CountBlocksFn = void (*)(const BlockMajorRows&, const int*, std::int32_t*) noexcept;
 
 /// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
 constexpr FusedBlocksFn kFusedByPlanes[16] = {
@@ -223,6 +252,12 @@ constexpr FusedBlocksFn kFusedByPlanes[16] = {
     &fused_blocks<5>,  &fused_blocks<6>,  &fused_blocks<7>,  &fused_blocks<8>,
     &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
     &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
+};
+constexpr CountBlocksFn kCountByPlanes[16] = {
+    &count_blocks<1>,  &count_blocks<2>,  &count_blocks<3>,  &count_blocks<4>,
+    &count_blocks<5>,  &count_blocks<6>,  &count_blocks<7>,  &count_blocks<8>,
+    &count_blocks<9>,  &count_blocks<10>, &count_blocks<11>, &count_blocks<12>,
+    &count_blocks<13>, &count_blocks<14>, &count_blocks<15>, &count_blocks<16>,
 };
 
 void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
@@ -232,6 +267,15 @@ void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
     if (rows.n_rows == 0) return;
     kFusedByPlanes[std::bit_width(rows.n_rows) - 1](rows, levels, class_rows, n_classes, ties,
                                                     tie_ctx, distances);
+}
+
+void block_major_counts(const BlockMajorRows& rows, const int* levels,
+                        std::int32_t* counts) noexcept {
+    if (rows.n_rows == 0) {
+        std::fill(counts, counts + rows.n_words * 64, 0);
+        return;
+    }
+    kCountByPlanes[std::bit_width(rows.n_rows) - 1](rows, levels, counts);
 }
 
 }  // namespace portable
@@ -314,7 +358,7 @@ const KernelBackend& portable_backend() noexcept {
         &portable::hamming,      &portable::csa_pair,
         &portable::csa_quad,     &portable::csa_oct,
         &portable::unpack_planes, &portable::csa_rows,
-        &portable::fused_hamming_scores,
+        &portable::fused_hamming_scores, &portable::block_major_counts,
     };
     return backend;
 }

@@ -78,8 +78,8 @@ using TieResolver = Word (*)(void* ctx, Word eq_mask, std::size_t word_index) no
 /// all of them (the backend can change at runtime; the layout cannot).
 inline constexpr std::size_t kBlockWords = 8;
 
-/// The block-major serving layout fused_hamming_scores streams (built once
-/// per encoder, see hdc::Encoder::fused_layout): every row cut into
+/// The block-major layout fused_hamming_scores and block_major_counts stream
+/// (built once per encoder, see hdc::Encoder::fused_layout): every row cut into
 /// 512-bit blocks and stored [block][row][kBlockWords words], so one step
 /// of the kernel reads a contiguous run of n_rows blocks.  The words past
 /// n_words in the last block are zero.  Plain data: the kernels only read it.
@@ -173,6 +173,19 @@ struct KernelBackend {
                                  const Word* const* class_rows, std::size_t n_classes,
                                  TieResolver ties, void* tie_ctx,
                                  std::uint64_t* distances) noexcept;
+
+    /// The uncached encode kernel: the same block walk and register-resident
+    /// count planes as fused_hamming_scores (one shared accumulate per
+    /// backend), but each block's planes are unpacked into per-column
+    /// counts instead of being binarized and scored:
+    ///   counts[j] = #{r : bit j of feature[r] ^ value[levels[r]] is set}
+    /// for every column j in [0, 64 * rows.n_words), overwritten, not
+    /// accumulated.  Padded words of the last block are never written and
+    /// their content is ignored.  Requirements as fused_hamming_scores
+    /// (n_rows <= kMaxFusedRows, levels in range); n_rows == 0 yields all-
+    /// zero counts.  Bit-identical to a ColumnCounter fed the same rows.
+    void (*block_major_counts)(const BlockMajorRows& rows, const int* levels,
+                               std::int32_t* counts) noexcept;
 };
 
 /// Words of a block-major layout of n_rows rows of n_words words each

@@ -308,77 +308,88 @@ void ripple(__m256i (&planes)[Planes], __m256i carry) noexcept {
     }
 }
 
-/// The fused kernel over every block, bit_width(n_rows) == Planes.  A
-/// 512-bit block is two ymm halves; with 16 ymm registers one half's count
-/// planes and CSA state already fill the file, so each block is walked
-/// once per half (the second walk reads the block from L1/L2), low half
-/// first to keep the tie resolver's ascending word order.
+/// The accumulate both block-major kernels share, bit_width(n_rows) ==
+/// Planes: folds one half (four words, at word offset `half_offset` within
+/// the block) of block b's bound rows into the count planes.  A 512-bit
+/// block is two ymm halves; with 16 ymm registers one half's count planes
+/// and CSA state already fill the file, so each block is walked once per
+/// half (the second walk reads the block from L1/L2).  Always inlined, so
+/// the planes never leave the registers on their way to an epilogue.
+template <std::size_t Planes>
+[[gnu::always_inline]] inline void accumulate_half(const BlockMajorRows& rows, const int* levels,
+                                                   std::size_t b, std::size_t half_offset,
+                                                   __m256i (&planes)[Planes]) noexcept {
+    const std::size_t n_rows = rows.n_rows;
+    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + half_offset;
+    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + half_offset;
+    const auto bound = [&](std::size_t r) {
+        const __m256i f =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(feature + r * kBlockWords));
+        const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            value + static_cast<std::size_t>(levels[r]) * kBlockWords));
+        return _mm256_xor_si256(f, v);
+    };
+    for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm256_setzero_si256();
+    __m256i ones = _mm256_setzero_si256();
+    __m256i twos = _mm256_setzero_si256();
+    __m256i fours = _mm256_setzero_si256();
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        const __m256i x0 = bound(r + 0);
+        const __m256i x1 = bound(r + 1);
+        const __m256i twos_a = csa_carry(ones, x0, x1);
+        ones = csa_sum(ones, x0, x1);
+        const __m256i x2 = bound(r + 2);
+        const __m256i x3 = bound(r + 3);
+        const __m256i twos_b = csa_carry(ones, x2, x3);
+        ones = csa_sum(ones, x2, x3);
+        const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
+        twos = csa_sum(twos, twos_a, twos_b);
+        const __m256i x4 = bound(r + 4);
+        const __m256i x5 = bound(r + 5);
+        const __m256i twos_c = csa_carry(ones, x4, x5);
+        ones = csa_sum(ones, x4, x5);
+        const __m256i x6 = bound(r + 6);
+        const __m256i x7 = bound(r + 7);
+        const __m256i twos_d = csa_carry(ones, x6, x7);
+        ones = csa_sum(ones, x6, x7);
+        const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
+        twos = csa_sum(twos, twos_c, twos_d);
+        const __m256i carry = csa_carry(fours, fours_a, fours_b);
+        fours = csa_sum(fours, fours_a, fours_b);
+        ripple<3>(planes, carry);
+    }
+    for (; r < n_rows; ++r) {
+        const __m256i x = bound(r);
+        const __m256i c1 = _mm256_and_si256(ones, x);
+        ones = _mm256_xor_si256(ones, x);
+        const __m256i c2 = _mm256_and_si256(twos, c1);
+        twos = _mm256_xor_si256(twos, c1);
+        const __m256i c3 = _mm256_and_si256(fours, c2);
+        fours = _mm256_xor_si256(fours, c2);
+        ripple<3>(planes, c3);
+    }
+    ripple<0>(planes, ones);
+    ripple<1>(planes, twos);
+    ripple<2>(planes, fours);
+}
+
+/// The fused kernel over every block, bit_width(n_rows) == Planes, low half
+/// of each block first to keep the tie resolver's ascending word order.
 template <std::size_t Planes>
 void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
                   std::size_t n_classes, TieResolver ties, void* tie_ctx,
                   std::uint64_t* distances) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word threshold = n_rows / 2;
-    const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
+    const Word threshold = rows.n_rows / 2;
+    const bool can_tie = (rows.n_rows % 2) == 0 && ties != nullptr;
     const __m256i lane_index = _mm256_setr_epi64x(0, 1, 2, 3);
     const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
     for (std::size_t b = 0; b < n_blocks; ++b) {
         for (std::size_t half = 0; half < 2; ++half) {
             const std::size_t w = b * kBlockWords + half * 4;
             if (w >= rows.n_words) break;  // an all-padding half
-            const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + half * 4;
-            const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + half * 4;
-            const auto bound = [&](std::size_t r) {
-                const __m256i f =
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(feature + r * kBlockWords));
-                const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    value + static_cast<std::size_t>(levels[r]) * kBlockWords));
-                return _mm256_xor_si256(f, v);
-            };
             __m256i planes[Planes];
-            for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm256_setzero_si256();
-            __m256i ones = _mm256_setzero_si256();
-            __m256i twos = _mm256_setzero_si256();
-            __m256i fours = _mm256_setzero_si256();
-            std::size_t r = 0;
-            for (; r + 8 <= n_rows; r += 8) {
-                const __m256i x0 = bound(r + 0);
-                const __m256i x1 = bound(r + 1);
-                const __m256i twos_a = csa_carry(ones, x0, x1);
-                ones = csa_sum(ones, x0, x1);
-                const __m256i x2 = bound(r + 2);
-                const __m256i x3 = bound(r + 3);
-                const __m256i twos_b = csa_carry(ones, x2, x3);
-                ones = csa_sum(ones, x2, x3);
-                const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
-                twos = csa_sum(twos, twos_a, twos_b);
-                const __m256i x4 = bound(r + 4);
-                const __m256i x5 = bound(r + 5);
-                const __m256i twos_c = csa_carry(ones, x4, x5);
-                ones = csa_sum(ones, x4, x5);
-                const __m256i x6 = bound(r + 6);
-                const __m256i x7 = bound(r + 7);
-                const __m256i twos_d = csa_carry(ones, x6, x7);
-                ones = csa_sum(ones, x6, x7);
-                const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
-                twos = csa_sum(twos, twos_c, twos_d);
-                const __m256i carry = csa_carry(fours, fours_a, fours_b);
-                fours = csa_sum(fours, fours_a, fours_b);
-                ripple<3>(planes, carry);
-            }
-            for (; r < n_rows; ++r) {
-                const __m256i x = bound(r);
-                const __m256i c1 = _mm256_and_si256(ones, x);
-                ones = _mm256_xor_si256(ones, x);
-                const __m256i c2 = _mm256_and_si256(twos, c1);
-                twos = _mm256_xor_si256(twos, c1);
-                const __m256i c3 = _mm256_and_si256(fours, c2);
-                fours = _mm256_xor_si256(fours, c2);
-                ripple<3>(planes, c3);
-            }
-            ripple<0>(planes, ones);
-            ripple<1>(planes, twos);
-            ripple<2>(planes, fours);
+            accumulate_half<Planes>(rows, levels, b, half * 4, planes);
             // Bit-sliced count > / == threshold, MSB plane first.
             __m256i gt = _mm256_setzero_si256();
             __m256i eq = _mm256_set1_epi64x(-1);
@@ -417,8 +428,41 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
     }
 }
 
+/// The counts kernel over every block, bit_width(n_rows) == Planes: the
+/// shared accumulate per half, then the half's planes go word-major through
+/// a stack copy (four words of Planes planes) into unpack_planes.
+template <std::size_t Planes>
+void count_blocks(const BlockMajorRows& rows, const int* levels, std::int32_t* counts) noexcept {
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        for (std::size_t half = 0; half < 2; ++half) {
+            const std::size_t w = b * kBlockWords + half * 4;
+            if (w >= rows.n_words) break;  // an all-padding half
+            __m256i planes[Planes];
+            accumulate_half<Planes>(rows, levels, b, half * 4, planes);
+            alignas(32) Word by_plane[Planes][4];
+            for (std::size_t p = 0; p < Planes; ++p) {
+                _mm256_store_si256(reinterpret_cast<__m256i*>(by_plane[p]), planes[p]);
+            }
+            Word word_major[4 * Planes];
+            for (std::size_t k = 0; k < 4; ++k) {
+                for (std::size_t p = 0; p < Planes; ++p) {
+                    word_major[k * Planes + p] = by_plane[p][k];
+                }
+            }
+            const std::size_t n_valid = rows.n_words - w < 4 ? rows.n_words - w : 4;
+            std::int32_t* out = counts + w * 64;
+            for (std::size_t i = 0; i < n_valid * 64; i += 8) {
+                _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_setzero_si256());
+            }
+            unpack_planes(word_major, n_valid, Planes, out);
+        }
+    }
+}
+
 using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
                                std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+using CountBlocksFn = void (*)(const BlockMajorRows&, const int*, std::int32_t*) noexcept;
 
 /// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
 constexpr FusedBlocksFn kFusedByPlanes[16] = {
@@ -427,19 +471,41 @@ constexpr FusedBlocksFn kFusedByPlanes[16] = {
     &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
     &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
 };
+constexpr CountBlocksFn kCountByPlanes[16] = {
+    &count_blocks<1>,  &count_blocks<2>,  &count_blocks<3>,  &count_blocks<4>,
+    &count_blocks<5>,  &count_blocks<6>,  &count_blocks<7>,  &count_blocks<8>,
+    &count_blocks<9>,  &count_blocks<10>, &count_blocks<11>, &count_blocks<12>,
+    &count_blocks<13>, &count_blocks<14>, &count_blocks<15>, &count_blocks<16>,
+};
+
+std::size_t plane_count(std::size_t n_rows) noexcept {
+    return static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+}
 
 void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
                           const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
     if (rows.n_rows == 0) return;
-    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(rows.n_rows));
-    kFusedByPlanes[n_planes - 1](rows, levels, class_rows, n_classes, ties, tie_ctx, distances);
+    kFusedByPlanes[plane_count(rows.n_rows) - 1](rows, levels, class_rows, n_classes, ties,
+                                                 tie_ctx, distances);
+}
+
+void block_major_counts(const BlockMajorRows& rows, const int* levels,
+                        std::int32_t* counts) noexcept {
+    if (rows.n_rows == 0) {
+        for (std::size_t i = 0; i < rows.n_words * 64; i += 8) {
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + i), _mm256_setzero_si256());
+        }
+        return;
+    }
+    kCountByPlanes[plane_count(rows.n_rows) - 1](rows, levels, counts);
 }
 
 constexpr KernelBackend kBackend{
     Backend::avx2, "avx2",   &xor_into, &popcount,      &hamming,  &csa_pair,
     &csa_quad,     &csa_oct, &unpack_planes, &csa_rows, &fused_hamming_scores,
+    &block_major_counts,
 };
 
 }  // namespace

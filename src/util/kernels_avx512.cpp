@@ -277,70 +277,87 @@ void ripple(__m512i (&planes)[Planes], __m512i carry) noexcept {
     }
 }
 
-/// The fused kernel over every block, bit_width(n_rows) == Planes.  One
-/// block is one zmm per row: with Planes a compile-time constant the count
-/// planes, ones/twos/fours and the CSA temps stay in the 32-register file
-/// (the ripple loops unroll), and the rows stream in layout order.
+/// The accumulate both block-major kernels share, bit_width(n_rows) ==
+/// Planes: folds block b's bound rows into the count planes (planes[p] is
+/// bit p of the block's 512 column counts).  One block is one zmm per row:
+/// with Planes a compile-time constant the count planes, ones/twos/fours
+/// and the CSA temps stay in the 32-register file (the ripple loops
+/// unroll), and the rows stream in layout order.  Always inlined, so the
+/// planes never leave the registers on their way to a kernel's epilogue.
+template <std::size_t Planes>
+[[gnu::always_inline]] inline void accumulate_block(const BlockMajorRows& rows, const int* levels,
+                                                    std::size_t b,
+                                                    __m512i (&planes)[Planes]) noexcept {
+    const std::size_t n_rows = rows.n_rows;
+    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
+    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
+    const auto bound = [&](std::size_t r) {
+        return _mm512_xor_si512(
+            _mm512_loadu_si512(feature + r * kBlockWords),
+            _mm512_loadu_si512(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
+    };
+    for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm512_setzero_si512();
+    __m512i ones = _mm512_setzero_si512();
+    __m512i twos = _mm512_setzero_si512();
+    __m512i fours = _mm512_setzero_si512();
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        const __m512i x0 = bound(r + 0);
+        const __m512i x1 = bound(r + 1);
+        const __m512i twos_a = csa_carry(ones, x0, x1);
+        ones = csa_sum(ones, x0, x1);
+        const __m512i x2 = bound(r + 2);
+        const __m512i x3 = bound(r + 3);
+        const __m512i twos_b = csa_carry(ones, x2, x3);
+        ones = csa_sum(ones, x2, x3);
+        const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
+        twos = csa_sum(twos, twos_a, twos_b);
+        const __m512i x4 = bound(r + 4);
+        const __m512i x5 = bound(r + 5);
+        const __m512i twos_c = csa_carry(ones, x4, x5);
+        ones = csa_sum(ones, x4, x5);
+        const __m512i x6 = bound(r + 6);
+        const __m512i x7 = bound(r + 7);
+        const __m512i twos_d = csa_carry(ones, x6, x7);
+        ones = csa_sum(ones, x6, x7);
+        const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
+        twos = csa_sum(twos, twos_c, twos_d);
+        const __m512i carry = csa_carry(fours, fours_a, fours_b);
+        fours = csa_sum(fours, fours_a, fours_b);
+        ripple<3>(planes, carry);
+    }
+    for (; r < n_rows; ++r) {
+        const __m512i x = bound(r);
+        const __m512i c1 = _mm512_and_si512(ones, x);
+        ones = _mm512_xor_si512(ones, x);
+        const __m512i c2 = _mm512_and_si512(twos, c1);
+        twos = _mm512_xor_si512(twos, c1);
+        const __m512i c3 = _mm512_and_si512(fours, c2);
+        fours = _mm512_xor_si512(fours, c2);
+        ripple<3>(planes, c3);
+    }
+    ripple<0>(planes, ones);
+    ripple<1>(planes, twos);
+    ripple<2>(planes, fours);
+}
+
+/// Real words of block b (the last block may be partial).
+std::size_t valid_words(const BlockMajorRows& rows, std::size_t b) noexcept {
+    const std::size_t w = b * kBlockWords;
+    return rows.n_words - w < kBlockWords ? rows.n_words - w : kBlockWords;
+}
+
+/// The fused kernel over every block, bit_width(n_rows) == Planes.
 template <std::size_t Planes>
 void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
                   std::size_t n_classes, TieResolver ties, void* tie_ctx,
                   std::uint64_t* distances) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word threshold = n_rows / 2;
-    const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
+    const Word threshold = rows.n_rows / 2;
+    const bool can_tie = (rows.n_rows % 2) == 0 && ties != nullptr;
     const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
     for (std::size_t b = 0; b < n_blocks; ++b) {
-        const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
-        const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
-        const auto bound = [&](std::size_t r) {
-            return _mm512_xor_si512(
-                _mm512_loadu_si512(feature + r * kBlockWords),
-                _mm512_loadu_si512(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
-        };
         __m512i planes[Planes];
-        for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm512_setzero_si512();
-        __m512i ones = _mm512_setzero_si512();
-        __m512i twos = _mm512_setzero_si512();
-        __m512i fours = _mm512_setzero_si512();
-        std::size_t r = 0;
-        for (; r + 8 <= n_rows; r += 8) {
-            const __m512i x0 = bound(r + 0);
-            const __m512i x1 = bound(r + 1);
-            const __m512i twos_a = csa_carry(ones, x0, x1);
-            ones = csa_sum(ones, x0, x1);
-            const __m512i x2 = bound(r + 2);
-            const __m512i x3 = bound(r + 3);
-            const __m512i twos_b = csa_carry(ones, x2, x3);
-            ones = csa_sum(ones, x2, x3);
-            const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
-            twos = csa_sum(twos, twos_a, twos_b);
-            const __m512i x4 = bound(r + 4);
-            const __m512i x5 = bound(r + 5);
-            const __m512i twos_c = csa_carry(ones, x4, x5);
-            ones = csa_sum(ones, x4, x5);
-            const __m512i x6 = bound(r + 6);
-            const __m512i x7 = bound(r + 7);
-            const __m512i twos_d = csa_carry(ones, x6, x7);
-            ones = csa_sum(ones, x6, x7);
-            const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
-            twos = csa_sum(twos, twos_c, twos_d);
-            const __m512i carry = csa_carry(fours, fours_a, fours_b);
-            fours = csa_sum(fours, fours_a, fours_b);
-            ripple<3>(planes, carry);
-        }
-        for (; r < n_rows; ++r) {
-            const __m512i x = bound(r);
-            const __m512i c1 = _mm512_and_si512(ones, x);
-            ones = _mm512_xor_si512(ones, x);
-            const __m512i c2 = _mm512_and_si512(twos, c1);
-            twos = _mm512_xor_si512(twos, c1);
-            const __m512i c3 = _mm512_and_si512(fours, c2);
-            fours = _mm512_xor_si512(fours, c2);
-            ripple<3>(planes, c3);
-        }
-        ripple<0>(planes, ones);
-        ripple<1>(planes, twos);
-        ripple<2>(planes, fours);
+        accumulate_block<Planes>(rows, levels, b, planes);
         // Bit-sliced count > / == threshold, MSB plane first.
         __m512i gt = _mm512_setzero_si512();
         __m512i eq = _mm512_set1_epi64(-1);
@@ -354,8 +371,7 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
         }
         // Padded words of the last block leave the compare here.
         const std::size_t w = b * kBlockWords;
-        const std::size_t n_valid = rows.n_words - w < kBlockWords ? rows.n_words - w : kBlockWords;
-        const auto valid = static_cast<__mmask8>((1u << n_valid) - 1u);
+        const auto valid = static_cast<__mmask8>((1u << valid_words(rows, b)) - 1u);
         gt = _mm512_maskz_mov_epi64(valid, gt);
         eq = _mm512_maskz_mov_epi64(valid, eq);
         __m512i query = gt;
@@ -380,8 +396,33 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
     }
 }
 
+/// The counts kernel over every block, bit_width(n_rows) == Planes: the
+/// shared accumulate, then the planes go word-major through a stack copy
+/// (eight words of Planes planes) into unpack_planes.
+template <std::size_t Planes>
+void count_blocks(const BlockMajorRows& rows, const int* levels, std::int32_t* counts) noexcept {
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        __m512i planes[Planes];
+        accumulate_block<Planes>(rows, levels, b, planes);
+        alignas(64) Word by_plane[Planes][kBlockWords];
+        for (std::size_t p = 0; p < Planes; ++p) _mm512_store_si512(by_plane[p], planes[p]);
+        Word word_major[kBlockWords * Planes];
+        for (std::size_t k = 0; k < kBlockWords; ++k) {
+            for (std::size_t p = 0; p < Planes; ++p) word_major[k * Planes + p] = by_plane[p][k];
+        }
+        const std::size_t n_valid = valid_words(rows, b);
+        std::int32_t* out = counts + b * kBlockWords * 64;
+        for (std::size_t i = 0; i < n_valid * 64; i += 16) {
+            _mm512_storeu_si512(out + i, _mm512_setzero_si512());
+        }
+        unpack_planes(word_major, n_valid, Planes, out);
+    }
+}
+
 using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
                                std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+using CountBlocksFn = void (*)(const BlockMajorRows&, const int*, std::int32_t*) noexcept;
 
 /// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
 constexpr FusedBlocksFn kFusedByPlanes[16] = {
@@ -390,19 +431,41 @@ constexpr FusedBlocksFn kFusedByPlanes[16] = {
     &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
     &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
 };
+constexpr CountBlocksFn kCountByPlanes[16] = {
+    &count_blocks<1>,  &count_blocks<2>,  &count_blocks<3>,  &count_blocks<4>,
+    &count_blocks<5>,  &count_blocks<6>,  &count_blocks<7>,  &count_blocks<8>,
+    &count_blocks<9>,  &count_blocks<10>, &count_blocks<11>, &count_blocks<12>,
+    &count_blocks<13>, &count_blocks<14>, &count_blocks<15>, &count_blocks<16>,
+};
+
+std::size_t plane_count(std::size_t n_rows) noexcept {
+    return static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+}
 
 void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
                           const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
     if (rows.n_rows == 0) return;
-    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(rows.n_rows));
-    kFusedByPlanes[n_planes - 1](rows, levels, class_rows, n_classes, ties, tie_ctx, distances);
+    kFusedByPlanes[plane_count(rows.n_rows) - 1](rows, levels, class_rows, n_classes, ties,
+                                                 tie_ctx, distances);
+}
+
+void block_major_counts(const BlockMajorRows& rows, const int* levels,
+                        std::int32_t* counts) noexcept {
+    if (rows.n_rows == 0) {
+        for (std::size_t i = 0; i < rows.n_words * 64; i += 16) {
+            _mm512_storeu_si512(counts + i, _mm512_setzero_si512());
+        }
+        return;
+    }
+    kCountByPlanes[plane_count(rows.n_rows) - 1](rows, levels, counts);
 }
 
 constexpr KernelBackend kBackend{
     Backend::avx512, "avx512",  &xor_into, &popcount,      &hamming,   &csa_pair,
     &csa_quad,       &csa_oct,  &unpack_planes, &csa_rows, &fused_hamming_scores,
+    &block_major_counts,
 };
 
 }  // namespace

@@ -265,73 +265,85 @@ void ripple(uint64x2_t (&planes)[Planes], uint64x2_t carry) noexcept {
     }
 }
 
-/// The fused kernel over every block, bit_width(n_rows) == Planes.  A
-/// 512-bit block is four q-register quarters; one quarter's 16 count planes,
-/// ones/twos/fours and CSA temps fit the 32-register file, so each block is
-/// walked once per quarter, in ascending word order for the tie resolver.
+/// The accumulate both block-major kernels share, bit_width(n_rows) ==
+/// Planes: folds one quarter (two words, at word offset `quarter_offset`
+/// within the block) of block b's bound rows into the count planes.  A
+/// 512-bit block is four q-register quarters; one quarter's 16 count
+/// planes, ones/twos/fours and CSA temps fit the 32-register file, so each
+/// block is walked once per quarter.  Always inlined, so the planes never
+/// leave the registers on their way to an epilogue.
+template <std::size_t Planes>
+[[gnu::always_inline]] inline void accumulate_quarter(const BlockMajorRows& rows,
+                                                      const int* levels, std::size_t b,
+                                                      std::size_t quarter_offset,
+                                                      uint64x2_t (&planes)[Planes]) noexcept {
+    const std::size_t n_rows = rows.n_rows;
+    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + quarter_offset;
+    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + quarter_offset;
+    const auto bound = [&](std::size_t r) {
+        return veorq_u64(vld1q_u64(feature + r * kBlockWords),
+                         vld1q_u64(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
+    };
+    for (std::size_t p = 0; p < Planes; ++p) planes[p] = vdupq_n_u64(0);
+    uint64x2_t ones = vdupq_n_u64(0);
+    uint64x2_t twos = vdupq_n_u64(0);
+    uint64x2_t fours = vdupq_n_u64(0);
+    std::size_t r = 0;
+    for (; r + 8 <= n_rows; r += 8) {
+        const uint64x2_t x0 = bound(r + 0);
+        const uint64x2_t x1 = bound(r + 1);
+        const uint64x2_t twos_a = csa_carry(ones, x0, x1);
+        ones = csa_sum(ones, x0, x1);
+        const uint64x2_t x2 = bound(r + 2);
+        const uint64x2_t x3 = bound(r + 3);
+        const uint64x2_t twos_b = csa_carry(ones, x2, x3);
+        ones = csa_sum(ones, x2, x3);
+        const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
+        twos = csa_sum(twos, twos_a, twos_b);
+        const uint64x2_t x4 = bound(r + 4);
+        const uint64x2_t x5 = bound(r + 5);
+        const uint64x2_t twos_c = csa_carry(ones, x4, x5);
+        ones = csa_sum(ones, x4, x5);
+        const uint64x2_t x6 = bound(r + 6);
+        const uint64x2_t x7 = bound(r + 7);
+        const uint64x2_t twos_d = csa_carry(ones, x6, x7);
+        ones = csa_sum(ones, x6, x7);
+        const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
+        twos = csa_sum(twos, twos_c, twos_d);
+        const uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
+        fours = csa_sum(fours, fours_a, fours_b);
+        ripple<3>(planes, carry);
+    }
+    for (; r < n_rows; ++r) {
+        const uint64x2_t x = bound(r);
+        const uint64x2_t c1 = vandq_u64(ones, x);
+        ones = veorq_u64(ones, x);
+        const uint64x2_t c2 = vandq_u64(twos, c1);
+        twos = veorq_u64(twos, c1);
+        const uint64x2_t c3 = vandq_u64(fours, c2);
+        fours = veorq_u64(fours, c2);
+        ripple<3>(planes, c3);
+    }
+    ripple<0>(planes, ones);
+    ripple<1>(planes, twos);
+    ripple<2>(planes, fours);
+}
+
+/// The fused kernel over every block, bit_width(n_rows) == Planes, one
+/// quarter at a time in ascending word order for the tie resolver.
 template <std::size_t Planes>
 void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* const* class_rows,
                   std::size_t n_classes, TieResolver ties, void* tie_ctx,
                   std::uint64_t* distances) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word threshold = n_rows / 2;
-    const bool can_tie = (n_rows % 2) == 0 && ties != nullptr;
+    const Word threshold = rows.n_rows / 2;
+    const bool can_tie = (rows.n_rows % 2) == 0 && ties != nullptr;
     const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
     for (std::size_t b = 0; b < n_blocks; ++b) {
         for (std::size_t quarter = 0; quarter < 4; ++quarter) {
             const std::size_t w = b * kBlockWords + quarter * 2;
             if (w >= rows.n_words) break;  // an all-padding quarter
-            const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + quarter * 2;
-            const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + quarter * 2;
-            const auto bound = [&](std::size_t r) {
-                return veorq_u64(
-                    vld1q_u64(feature + r * kBlockWords),
-                    vld1q_u64(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
-            };
             uint64x2_t planes[Planes];
-            for (std::size_t p = 0; p < Planes; ++p) planes[p] = vdupq_n_u64(0);
-            uint64x2_t ones = vdupq_n_u64(0);
-            uint64x2_t twos = vdupq_n_u64(0);
-            uint64x2_t fours = vdupq_n_u64(0);
-            std::size_t r = 0;
-            for (; r + 8 <= n_rows; r += 8) {
-                const uint64x2_t x0 = bound(r + 0);
-                const uint64x2_t x1 = bound(r + 1);
-                const uint64x2_t twos_a = csa_carry(ones, x0, x1);
-                ones = csa_sum(ones, x0, x1);
-                const uint64x2_t x2 = bound(r + 2);
-                const uint64x2_t x3 = bound(r + 3);
-                const uint64x2_t twos_b = csa_carry(ones, x2, x3);
-                ones = csa_sum(ones, x2, x3);
-                const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
-                twos = csa_sum(twos, twos_a, twos_b);
-                const uint64x2_t x4 = bound(r + 4);
-                const uint64x2_t x5 = bound(r + 5);
-                const uint64x2_t twos_c = csa_carry(ones, x4, x5);
-                ones = csa_sum(ones, x4, x5);
-                const uint64x2_t x6 = bound(r + 6);
-                const uint64x2_t x7 = bound(r + 7);
-                const uint64x2_t twos_d = csa_carry(ones, x6, x7);
-                ones = csa_sum(ones, x6, x7);
-                const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
-                twos = csa_sum(twos, twos_c, twos_d);
-                const uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
-                fours = csa_sum(fours, fours_a, fours_b);
-                ripple<3>(planes, carry);
-            }
-            for (; r < n_rows; ++r) {
-                const uint64x2_t x = bound(r);
-                const uint64x2_t c1 = vandq_u64(ones, x);
-                ones = veorq_u64(ones, x);
-                const uint64x2_t c2 = vandq_u64(twos, c1);
-                twos = veorq_u64(twos, c1);
-                const uint64x2_t c3 = vandq_u64(fours, c2);
-                fours = veorq_u64(fours, c2);
-                ripple<3>(planes, c3);
-            }
-            ripple<0>(planes, ones);
-            ripple<1>(planes, twos);
-            ripple<2>(planes, fours);
+            accumulate_quarter<Planes>(rows, levels, b, quarter * 2, planes);
             // Bit-sliced count > / == threshold, MSB plane first.
             uint64x2_t gt = vdupq_n_u64(0);
             uint64x2_t eq = vdupq_n_u64(~Word{0});
@@ -371,8 +383,34 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
     }
 }
 
+/// The counts kernel over every block, bit_width(n_rows) == Planes: the
+/// shared accumulate per quarter, then the quarter's planes go word-major
+/// through a stack copy (two words of Planes planes) into unpack_planes.
+template <std::size_t Planes>
+void count_blocks(const BlockMajorRows& rows, const int* levels, std::int32_t* counts) noexcept {
+    const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
+    for (std::size_t b = 0; b < n_blocks; ++b) {
+        for (std::size_t quarter = 0; quarter < 4; ++quarter) {
+            const std::size_t w = b * kBlockWords + quarter * 2;
+            if (w >= rows.n_words) break;  // an all-padding quarter
+            uint64x2_t planes[Planes];
+            accumulate_quarter<Planes>(rows, levels, b, quarter * 2, planes);
+            Word word_major[2 * Planes];
+            for (std::size_t p = 0; p < Planes; ++p) {
+                word_major[p] = vgetq_lane_u64(planes[p], 0);
+                word_major[Planes + p] = vgetq_lane_u64(planes[p], 1);
+            }
+            const std::size_t n_valid = w + 1 < rows.n_words ? 2 : 1;
+            std::int32_t* out = counts + w * 64;
+            for (std::size_t i = 0; i < n_valid * 64; i += 4) vst1q_s32(out + i, vdupq_n_s32(0));
+            unpack_planes(word_major, n_valid, Planes, out);
+        }
+    }
+}
+
 using FusedBlocksFn = void (*)(const BlockMajorRows&, const int*, const Word* const*,
                                std::size_t, TieResolver, void*, std::uint64_t*) noexcept;
+using CountBlocksFn = void (*)(const BlockMajorRows&, const int*, std::int32_t*) noexcept;
 
 /// One instantiation per plane count, indexed by bit_width(n_rows) - 1.
 constexpr FusedBlocksFn kFusedByPlanes[16] = {
@@ -381,19 +419,41 @@ constexpr FusedBlocksFn kFusedByPlanes[16] = {
     &fused_blocks<9>,  &fused_blocks<10>, &fused_blocks<11>, &fused_blocks<12>,
     &fused_blocks<13>, &fused_blocks<14>, &fused_blocks<15>, &fused_blocks<16>,
 };
+constexpr CountBlocksFn kCountByPlanes[16] = {
+    &count_blocks<1>,  &count_blocks<2>,  &count_blocks<3>,  &count_blocks<4>,
+    &count_blocks<5>,  &count_blocks<6>,  &count_blocks<7>,  &count_blocks<8>,
+    &count_blocks<9>,  &count_blocks<10>, &count_blocks<11>, &count_blocks<12>,
+    &count_blocks<13>, &count_blocks<14>, &count_blocks<15>, &count_blocks<16>,
+};
+
+std::size_t plane_count(std::size_t n_rows) noexcept {
+    return static_cast<std::size_t>(64 - __builtin_clzll(n_rows));
+}
 
 void fused_hamming_scores(const BlockMajorRows& rows, const int* levels,
                           const Word* const* class_rows, std::size_t n_classes, TieResolver ties,
                           void* tie_ctx, std::uint64_t* distances) noexcept {
     for (std::size_t c = 0; c < n_classes; ++c) distances[c] = 0;
     if (rows.n_rows == 0) return;
-    const auto n_planes = static_cast<std::size_t>(64 - __builtin_clzll(rows.n_rows));
-    kFusedByPlanes[n_planes - 1](rows, levels, class_rows, n_classes, ties, tie_ctx, distances);
+    kFusedByPlanes[plane_count(rows.n_rows) - 1](rows, levels, class_rows, n_classes, ties,
+                                                 tie_ctx, distances);
+}
+
+void block_major_counts(const BlockMajorRows& rows, const int* levels,
+                        std::int32_t* counts) noexcept {
+    if (rows.n_rows == 0) {
+        for (std::size_t i = 0; i < rows.n_words * 64; i += 4) {
+            vst1q_s32(counts + i, vdupq_n_s32(0));
+        }
+        return;
+    }
+    kCountByPlanes[plane_count(rows.n_rows) - 1](rows, levels, counts);
 }
 
 constexpr KernelBackend kBackend{
     Backend::neon, "neon",   &xor_into, &popcount,      &hamming,  &csa_pair,
     &csa_quad,     &csa_oct, &unpack_planes, &csa_rows, &fused_hamming_scores,
+    &block_major_counts,
 };
 
 }  // namespace

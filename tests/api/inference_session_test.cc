@@ -457,10 +457,23 @@ TEST(InferenceSession, ConcurrentPredictCallersShareThePoolSafely) {
     }
 }
 
+namespace {
+
+/// A bare queue entry of rows x cols, built by member assignment (a
+/// designated initializer naming only some members trips
+/// -Wmissing-field-initializers under -Werror).
+api::AsyncRequest queued_request(std::size_t rows, std::size_t cols) {
+    api::AsyncRequest request;
+    request.rows = util::Matrix<float>(rows, cols);
+    return request;
+}
+
+}  // namespace
+
 TEST(SubmitQueue, CoalescesQueuedRequestsIntoOneMicroBatch) {
     api::SubmitQueue queue(/*max_rows=*/1024);
     for (int i = 0; i < 3; ++i) {
-        queue.push(api::AsyncRequest{.rows = util::Matrix<float>(2, 4), .promise = {}});
+        queue.push(queued_request(2, 4));
     }
     EXPECT_EQ(queue.queued_rows(), 6u);
     const auto batch = queue.pop_batch(/*max_batch=*/256, std::chrono::microseconds(0));
@@ -471,7 +484,7 @@ TEST(SubmitQueue, CoalescesQueuedRequestsIntoOneMicroBatch) {
 TEST(SubmitQueue, RespectsMaxBatchAndTakesWholeRequests) {
     api::SubmitQueue queue(/*max_rows=*/1024);
     for (int i = 0; i < 4; ++i) {
-        queue.push(api::AsyncRequest{.rows = util::Matrix<float>(3, 4), .promise = {}});
+        queue.push(queued_request(3, 4));
     }
     // 3 + 3 = 6 <= 7, adding the third request would exceed max_batch.
     const auto batch = queue.pop_batch(/*max_batch=*/7, std::chrono::microseconds(0));
@@ -482,14 +495,14 @@ TEST(SubmitQueue, RespectsMaxBatchAndTakesWholeRequests) {
 TEST(SubmitQueue, OversizedRequestIsAdmittedAloneAndCloseWakesProducers) {
     api::SubmitQueue queue(/*max_rows=*/4);
     // Larger than the whole queue: admitted when the queue is empty.
-    queue.push(api::AsyncRequest{.rows = util::Matrix<float>(9, 2), .promise = {}});
+    queue.push(queued_request(9, 2));
     EXPECT_EQ(queue.queued_rows(), 9u);
     const auto batch = queue.pop_batch(/*max_batch=*/4, std::chrono::microseconds(0));
     ASSERT_EQ(batch.size(), 1u);  // whole requests are never split
     EXPECT_EQ(batch.front().rows.rows(), 9u);
 
     queue.close();
-    EXPECT_THROW(queue.push(api::AsyncRequest{.rows = util::Matrix<float>(1, 2), .promise = {}}),
+    EXPECT_THROW(queue.push(queued_request(1, 2)),
                  Error);
     EXPECT_TRUE(queue.pop_batch(4, std::chrono::microseconds(0)).empty());
 }
@@ -619,16 +632,23 @@ namespace {
 
 /// Bit-identical to a RecordEncoder over the same ItemMemory and tie seed,
 /// but throws on an armed set of encode calls.  The shared kernel reads
-/// feature_hv_array() exactly once per row encode, so with a
-/// single-threaded session the call counter enumerates encoded rows in
-/// dispatch order — which lets a test poison "the second fused row, and the
-/// same request's solo retry" deterministically.
+/// dim() exactly once per row encode (and a serving session reads it
+/// nowhere else once constructed), so with a single-threaded session the
+/// call counter enumerates encoded rows in dispatch order — which lets a
+/// test poison "the second fused row, and the same request's solo retry"
+/// deterministically.
 class PoisonEncoder final : public hdc::Encoder {
 public:
     PoisonEncoder(std::shared_ptr<const hdc::ItemMemory> memory, std::uint64_t tie_seed)
         : Encoder(tie_seed), memory_(std::move(memory)) {}
 
-    std::size_t dim() const override { return memory_->dim(); }
+    std::size_t dim() const override {
+        const int index = calls_.fetch_add(1);
+        for (const int fail : fail_on_) {
+            if (fail == index) throw std::runtime_error("poisoned encode");
+        }
+        return memory_->dim();
+    }
     std::size_t n_features() const override { return memory_->n_features(); }
     std::size_t n_levels() const override { return memory_->n_levels(); }
 
@@ -639,10 +659,6 @@ public:
 
 protected:
     std::span<const hdc::BinaryHV> feature_hv_array() const override {
-        const int index = calls_.fetch_add(1);
-        for (const int fail : fail_on_) {
-            if (fail == index) throw std::runtime_error("poisoned encode");
-        }
         return memory_->feature_hvs();
     }
     std::span<const hdc::BinaryHV> value_hv_array() const override {

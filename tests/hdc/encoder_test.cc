@@ -64,6 +64,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(1000, 64, 8), std::make_tuple(1000, 65, 8),
                       std::make_tuple(4096, 128, 16), std::make_tuple(10000, 784, 2)));
 
+// encode_into's block-major path (n_features <= kMaxFusedRows) and its
+// ColumnCounter fallback past the cap against the per-element Eq. 2
+// reference on every backend, at dimensions around every word and block
+// boundary; encode_binary_into must equal the reference signed with the
+// encoder's tie stream.  Only the capped shapes build the layout.
+TEST(EncoderBlockMajor, EncodeIntoMatchesReferenceOnEveryBackend) {
+    namespace kernels = hdlock::util::kernels;
+    struct Shape {
+        std::size_t dim;
+        std::size_t n_features;
+    };
+    std::vector<Shape> shapes;
+    for (const std::size_t dim : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                  std::size_t{65}, std::size_t{511}, std::size_t{513},
+                                  std::size_t{10000}}) {
+        for (const std::size_t n_features :
+             {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8}, std::size_t{33}}) {
+            shapes.push_back({dim, n_features});
+        }
+    }
+    shapes.push_back({10000, 784});
+    shapes.push_back({1, kernels::kMaxFusedRows + 1});
+    shapes.push_back({65, kernels::kMaxFusedRows + 1});
+    for (const Shape& shape : shapes) {
+        const RecordEncoder encoder(make_memory(shape.dim, shape.n_features, 4, 41), 3);
+        const auto levels = random_levels(shape.n_features, 4, 43);
+        const IntHV expected = encoder.encode_reference(levels);
+        hdlock::util::Xoshiro256ss tie_rng = encoder.tie_rng(levels);
+        const BinaryHV expected_binary = expected.sign(tie_rng);
+        for (const kernels::Backend kind : kernels::available_backends()) {
+            const kernels::ScopedBackend pin(kind);
+            hdlock::hdc::EncoderScratch scratch;
+            IntHV sums;
+            BinaryHV binary;
+            encoder.encode_into(levels, scratch, sums);
+            encoder.encode_binary_into(levels, scratch, binary);
+            EXPECT_EQ(sums, expected) << kernels::backend_name(kind) << " D=" << shape.dim
+                                      << " N=" << shape.n_features;
+            EXPECT_EQ(binary, expected_binary) << kernels::backend_name(kind) << " D=" << shape.dim
+                                               << " N=" << shape.n_features;
+        }
+        EXPECT_EQ(encoder.fused_layout_built(), shape.n_features <= kernels::kMaxFusedRows)
+            << "D=" << shape.dim << " N=" << shape.n_features;
+    }
+}
+
 TEST(RecordEncoder, OutputBoundsAndParity) {
     // Each H_nb[j] is a sum of N bipolar terms: |H[j]| <= N and H[j] == N (mod 2).
     const std::size_t n_features = 33;
@@ -279,8 +325,12 @@ TEST(EncoderFusedLayout, ConcurrentFirstCallersBuildOnceAndAgree) {
     std::vector<BinaryHV> class_hvs;
     for (int c = 0; c < 3; ++c) class_hvs.push_back(BinaryHV::random(dim, rng));
     const auto levels = random_levels(n_features, 4, 99);
+    // Expected distances from the per-element reference, which (unlike
+    // encode_binary, whose uncached path streams the layout too) leaves the
+    // layout unbuilt.
     std::vector<std::uint64_t> expected;
-    const BinaryHV query = encoder.encode_binary(levels);
+    hdlock::util::Xoshiro256ss tie_rng = encoder.tie_rng(levels);
+    const BinaryHV query = encoder.encode_reference(levels).sign(tie_rng);
     for (const auto& hv : class_hvs) expected.push_back(hv.hamming(query));
     ASSERT_FALSE(encoder.fused_layout_built());
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <sstream>
+#include <vector>
 
 using hdlock::ContractViolation;
 using hdlock::FormatError;
@@ -224,6 +226,47 @@ TEST(IntHV, SignBreaksTiesRandomly) {
     std::size_t plus = 0;
     for (std::size_t i = 0; i < 10000; ++i) plus += s.get(i) == 1 ? 1u : 0u;
     EXPECT_NEAR(static_cast<double>(plus) / 10000.0, 0.5, 0.03);
+}
+
+// The word-at-a-time sign_into against the per-element definition it
+// replaced (negative -> -1, zero -> one next_sign() draw in ascending
+// column order), reusing one output across shapes: partial tail words,
+// all-zero input (every column draws), extreme values and mixed rows.
+TEST(IntHV, SignIntoMatchesPerElementReference) {
+    const auto reference = [](const IntHV& sums, std::uint64_t seed) {
+        Xoshiro256ss rng(seed);
+        BinaryHV out(sums.dim());
+        for (std::size_t i = 0; i < sums.dim(); ++i) {
+            const std::int32_t v = sums.values()[i];
+            if (v < 0 || (v == 0 && rng.next_sign() < 0)) out.set(i, -1);
+        }
+        return out;
+    };
+    Xoshiro256ss values_rng(2718);
+    BinaryHV out;
+    for (const std::size_t dim : {std::size_t{1}, std::size_t{5}, std::size_t{63},
+                                  std::size_t{64}, std::size_t{65}, std::size_t{127},
+                                  std::size_t{128}, std::size_t{129}, std::size_t{1000}}) {
+        std::vector<IntHV> inputs;
+        inputs.emplace_back(dim);  // all zero
+        IntHV mixed(dim);
+        IntHV extremes(dim);
+        for (std::size_t i = 0; i < dim; ++i) {
+            mixed[i] = static_cast<std::int32_t>(values_rng.next_below(7)) - 3;
+            extremes[i] = i % 3 == 0 ? INT32_MIN : (i % 3 == 1 ? INT32_MAX : 0);
+        }
+        inputs.push_back(mixed);
+        inputs.push_back(extremes);
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            Xoshiro256ss rng(31 + dim);
+            inputs[k].sign_into(rng, out);
+            EXPECT_EQ(out, reference(inputs[k], 31 + dim)) << "dim=" << dim << " input=" << k;
+            // The stream advanced by exactly one draw per zero column.
+            Xoshiro256ss expected_rng(31 + dim);
+            for (std::size_t z = 0; z < inputs[k].zero_count(); ++z) (void)expected_rng.next_sign();
+            EXPECT_EQ(rng(), expected_rng()) << "dim=" << dim << " input=" << k;
+        }
+    }
 }
 
 TEST(IntHV, ZeroCount) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -726,6 +727,104 @@ TEST(Kernels, FusedHammingScoresZeroRowsZeroesDistances) {
         backend->fused_hamming_scores(rows, nullptr, class_ptrs, 1, nullptr, nullptr,
                                       distances.data());
         EXPECT_EQ(distances[0], 0u) << backend->name;
+    }
+}
+
+// block_major_counts against an independent reference on every backend, at
+// every row count 1..33 and both n_rows boundaries of every plane count
+// (2^(k-1) and 2^k - 1, so each of the sixteen instantiations runs), over
+// word counts around every vector width.  Feature rows repeat a small pool,
+// so the reference tallies (pool row, level) multiplicities instead of
+// walking all 65535 rows; three quarters of the pool sets the high half of
+// every word, driving those counts toward n_rows and into the top plane.
+// The padded words of the last block are dirtied after packing and the
+// counts buffer carries a sentinel past its end: neither may leak.
+TEST(Kernels, BlockMajorCountsMatchesReferenceAcrossBackends) {
+    Xoshiro256ss rng(103);
+    const std::size_t n_pool = 37;
+    const std::size_t n_levels = 3;
+    std::vector<std::size_t> row_counts;
+    for (std::size_t n = 1; n <= 33; ++n) row_counts.push_back(n);
+    for (std::size_t planes = 1; planes <= 16; ++planes) {
+        row_counts.push_back(std::size_t{1} << (planes - 1));
+        row_counts.push_back((std::size_t{1} << planes) - 1);
+    }
+    std::vector<const KernelBackend*> backends = simd_backends();
+    backends.push_back(&kernels::portable_backend());
+    constexpr std::int32_t kSentinel = -7;
+    for (const std::size_t n_words : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                      std::size_t{5}, std::size_t{7}, std::size_t{8},
+                                      std::size_t{9}, std::size_t{13}, std::size_t{16},
+                                      std::size_t{17}}) {
+        std::vector<std::vector<Word>> pool;
+        for (std::size_t i = 0; i < n_pool; ++i) {
+            std::vector<Word> row = random_words(n_words, rng);
+            if (i % 4 != 0) {
+                for (auto& word : row) word |= 0xFFFFFFFF00000000ULL;
+            }
+            pool.push_back(std::move(row));
+        }
+        for (const std::size_t n_rows : row_counts) {
+            FusedInputs inputs;
+            inputs.n_words = n_words;
+            for (std::size_t m = 0; m < n_levels; ++m) {
+                inputs.values.push_back(random_words(n_words, rng));
+            }
+            std::vector<std::size_t> multiplicity(n_pool * n_levels, 0);
+            for (std::size_t r = 0; r < n_rows; ++r) {
+                const std::size_t source = (r * 7 + r / n_pool) % n_pool;
+                const auto level = static_cast<int>(rng.next_below(n_levels));
+                inputs.features.push_back(pool[source]);
+                inputs.levels.push_back(level);
+                ++multiplicity[source * n_levels + static_cast<std::size_t>(level)];
+            }
+            std::vector<std::int32_t> expected(n_words * 64, 0);
+            for (std::size_t source = 0; source < n_pool; ++source) {
+                for (std::size_t m = 0; m < n_levels; ++m) {
+                    const std::size_t times = multiplicity[source * n_levels + m];
+                    if (times == 0) continue;
+                    for (std::size_t j = 0; j < n_words * 64; ++j) {
+                        const Word x = pool[source][j / 64] ^ inputs.values[m][j / 64];
+                        expected[j] += static_cast<std::int32_t>(((x >> (j % 64)) & 1u) * times);
+                    }
+                }
+            }
+            kernels::BlockMajorRows rows = inputs.pack();
+            const std::size_t tail = n_words % kernels::kBlockWords;
+            if (tail != 0) {
+                const std::size_t last = n_words / kernels::kBlockWords;
+                for (std::size_t r = 0; r < n_rows; ++r) {
+                    Word* block = inputs.feature_blocks.data() +
+                                  (last * n_rows + r) * kernels::kBlockWords;
+                    std::fill(block + tail, block + kernels::kBlockWords, ~Word{0});
+                }
+            }
+            for (const KernelBackend* backend : backends) {
+                std::vector<std::int32_t> counts(n_words * 64 + 64, kSentinel);
+                backend->block_major_counts(rows, inputs.levels.data(), counts.data());
+                EXPECT_TRUE(std::equal(expected.begin(), expected.end(), counts.begin()))
+                    << backend->name << " rows=" << n_rows << " words=" << n_words;
+                EXPECT_TRUE(std::all_of(counts.begin() + static_cast<std::ptrdiff_t>(n_words * 64),
+                                        counts.end(),
+                                        [](std::int32_t c) { return c == kSentinel; }))
+                    << backend->name << " wrote past the counts, rows=" << n_rows
+                    << " words=" << n_words;
+            }
+        }
+    }
+}
+
+TEST(Kernels, BlockMajorCountsZeroRowsZeroesCounts) {
+    kernels::BlockMajorRows rows;
+    rows.n_words = 5;
+    std::vector<const KernelBackend*> backends = simd_backends();
+    backends.push_back(&kernels::portable_backend());
+    for (const KernelBackend* backend : backends) {
+        std::vector<std::int32_t> counts(5 * 64, 3);
+        backend->block_major_counts(rows, nullptr, counts.data());
+        EXPECT_TRUE(
+            std::all_of(counts.begin(), counts.end(), [](std::int32_t c) { return c == 0; }))
+            << backend->name;
     }
 }
 
