@@ -3,6 +3,7 @@
 /// ablations called out in DESIGN.md §4:
 ///
 ///  - MAP operator kernels (bind, rotate, Hamming) across dimensions;
+///  - the per-row tie seed (BM_TieSeed);
 ///  - record encoding: the block-major counts kernel vs. the naive
 ///    per-element reference (the encoder hot-loop ablation), and the
 ///    batch-first pipeline: scratch-reusing encode_batch, with and without
@@ -218,6 +219,30 @@ void BM_EncodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeBatch)->Arg(64)->Arg(256)->Arg(784)->ComputeStatistics(
     "mad", &median_absolute_deviation);
+
+/// The per-row tie seed every binary path derives before it scores
+/// (Encoder::tie_rng: a hash of the level vector mixed with the encoder's
+/// tie seed), at the online (N = 75) and offline (N = 784) row widths, 16
+/// levels.
+void BM_TieSeed(benchmark::State& state) {
+    const auto n_features = static_cast<std::size_t>(state.range(0));
+    hdc::ItemMemoryConfig config;
+    config.dim = 64;
+    config.n_features = n_features;
+    config.n_levels = 16;
+    config.seed = 11;
+    const hdc::RecordEncoder encoder(
+        std::make_shared<const hdc::ItemMemory>(hdc::ItemMemory::generate(config)),
+        /*tie_seed=*/1);
+    std::vector<int> levels(n_features);
+    util::Xoshiro256ss rng(23);
+    for (auto& level : levels) level = static_cast<int>(rng.next_below(16));
+    for (auto _ : state) {
+        util::Xoshiro256ss tie_rng = encoder.tie_rng(levels);
+        benchmark::DoNotOptimize(tie_rng());
+    }
+}
+BENCHMARK(BM_TieSeed)->Arg(75)->Arg(784);
 
 /// The same batch through the N x M BoundProductCache: each row folds the
 /// precomputed products through a ColumnCounter (no XORs).  The ablation

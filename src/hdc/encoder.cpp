@@ -195,7 +195,11 @@ void Encoder::encode_binary_into(std::span<const int> levels, EncoderScratch& sc
 }
 
 util::Xoshiro256ss Encoder::tie_rng(std::span<const int> levels) const noexcept {
-    return util::Xoshiro256ss(util::hash_mix(tie_seed_, util::fnv1a_of(levels)));
+    // Every level lies in [0, n_levels()), so up to 256 levels the
+    // four-byte-stride hash equals the bytewise one.
+    const std::uint64_t hash =
+        n_levels() <= 256 ? util::fnv1a_of_small(levels) : util::fnv1a_of(levels);
+    return util::Xoshiro256ss(util::hash_mix(tie_seed_, hash));
 }
 
 void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& scratch,
@@ -215,10 +219,12 @@ void Encoder::fused_hamming_into(std::span<const int> levels, EncoderScratch& sc
     }
 
     const util::kernels::BlockMajorRows& rows = fused_layout().rows();
-    util::Xoshiro256ss rng = tie_rng(levels);
-    util::kernels::active().fused_hamming_scores(rows, levels.data(), scratch.class_rows_.data(),
-                                                 class_hvs.size(), &resolve_fused_ties, &rng,
-                                                 distances.data());
+    // An odd number of +-1 terms never sums to zero: no ties, so no seed.
+    const bool can_tie = levels.size() % 2 == 0;
+    util::Xoshiro256ss rng = can_tie ? tie_rng(levels) : util::Xoshiro256ss(0);
+    util::kernels::active().fused_hamming_scores(
+        rows, levels.data(), scratch.class_rows_.data(), class_hvs.size(),
+        can_tie ? &resolve_fused_ties : nullptr, &rng, distances.data());
 }
 
 const FusedLayout& Encoder::fused_layout() const {

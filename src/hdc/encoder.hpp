@@ -230,7 +230,9 @@ public:
 
     /// The generator every binary path breaks sign(0) ties of `levels` with:
     /// seeded hash_mix(tie_seed(), fnv1a_of(levels)), so sign_into of
-    /// encode_into's sums with it equals encode_binary_into.
+    /// encode_into's sums with it equals encode_binary_into.  `levels` must
+    /// lie in [0, n_levels()): up to 256 levels the hash runs at a
+    /// four-byte stride (util::fnv1a_of_small), equal on those inputs.
     util::Xoshiro256ss tie_rng(std::span<const int> levels) const noexcept;
 
 protected:

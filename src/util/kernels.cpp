@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/csa_tree.hpp"
 #include "util/error.hpp"
 
 namespace hdlock::util::kernels {
@@ -107,88 +108,58 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, 0, n);
 }
 
-/// Ripples a carry word of weight 2^start into the bit-sliced count planes.
-/// The chain always dies before plane Planes: column counts never exceed
-/// n_rows < 2^Planes.
-template <std::size_t Planes>
-void ripple(Word* planes, std::size_t start, Word carry) noexcept {
-    for (std::size_t p = start; p < Planes && carry != 0; ++p) {
-        const Word sum = planes[p] ^ carry;
-        carry &= planes[p];
-        planes[p] = sum;
+/// One 512-bit block as the tree's vector: eight words, combined word by
+/// word (the compiler vectorizes the loops at the baseline ISA).
+struct Block {
+    Word w[kBlockWords];
+};
+
+struct BlockLanes {
+    using V = Block;
+    static Block load(const Word* p) noexcept {
+        Block out;
+        std::memcpy(out.w, p, sizeof(out.w));
+        return out;
     }
-}
+    static Block zero() noexcept { return Block{}; }
+    static Block bit_xor(const Block& a, const Block& b) noexcept {
+        Block out;
+        for (std::size_t k = 0; k < kBlockWords; ++k) out.w[k] = a.w[k] ^ b.w[k];
+        return out;
+    }
+    static Block bit_and(const Block& a, const Block& b) noexcept {
+        Block out;
+        for (std::size_t k = 0; k < kBlockWords; ++k) out.w[k] = a.w[k] & b.w[k];
+        return out;
+    }
+    static Block sum(const Block& a, const Block& b, const Block& c) noexcept {
+        Block out;
+        for (std::size_t k = 0; k < kBlockWords; ++k) out.w[k] = a.w[k] ^ b.w[k] ^ c.w[k];
+        return out;
+    }
+    static Block carry(const Block& a, const Block& b, const Block& c) noexcept {
+        Block out;
+        for (std::size_t k = 0; k < kBlockWords; ++k) {
+            out.w[k] = (a.w[k] & b.w[k]) | ((a.w[k] ^ b.w[k]) & c.w[k]);
+        }
+        return out;
+    }
+};
+
+/// Carry-save tree depth: 16-row groups.  Timed at depths 3-6, 16 tied
+/// 32 and 64 at N = 784 and beat 64 at N = 75 (DESIGN.md §11).
+constexpr std::size_t kTreeDepth = 4;
 
 /// The accumulate both block-major kernels share, bit_width(n_rows) ==
-/// Planes: folds block b's n_rows bound rows into planes[k][p] (bit p of
-/// the column counts of the block's word k — word-major, the unpack_planes
-/// layout).  Each step walks the rows eight at a time and runs the CSA tree
-/// on all eight words of the block, so the rows are read in layout order.
+/// Planes: folds block b's n_rows bound rows into planes[p] (bit p of the
+/// column counts of the block's eight words), reading the rows in layout
+/// order.
 template <std::size_t Planes>
 void accumulate_block(const BlockMajorRows& rows, const int* levels, std::size_t b,
-                      Word (&planes)[kBlockWords][Planes]) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
-    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
-    const auto bound = [&](std::size_t r, std::size_t k) {
-        return feature[r * kBlockWords + k] ^
-               value[static_cast<std::size_t>(levels[r]) * kBlockWords + k];
-    };
-    for (auto& word_planes : planes) std::fill(word_planes, word_planes + Planes, Word{0});
-    Word ones[kBlockWords] = {};
-    Word twos[kBlockWords] = {};
-    Word fours[kBlockWords] = {};
-    std::size_t r = 0;
-    for (; r + 8 <= n_rows; r += 8) {
-        for (std::size_t k = 0; k < kBlockWords; ++k) {
-            Word x[8];
-            for (std::size_t j = 0; j < 8; ++j) x[j] = bound(r + j, k);
-            // Same tree as csa_rows_words, registers only.
-            Word one = ones[k];
-            Word two = twos[k];
-            Word u = one ^ x[0];
-            const Word twos_a = (one & x[0]) | (u & x[1]);
-            one = u ^ x[1];
-            u = one ^ x[2];
-            const Word twos_b = (one & x[2]) | (u & x[3]);
-            one = u ^ x[3];
-            Word u2 = two ^ twos_a;
-            const Word fours_a = (two & twos_a) | (u2 & twos_b);
-            two = u2 ^ twos_b;
-            u = one ^ x[4];
-            const Word twos_c = (one & x[4]) | (u & x[5]);
-            one = u ^ x[5];
-            u = one ^ x[6];
-            const Word twos_d = (one & x[6]) | (u & x[7]);
-            one = u ^ x[7];
-            u2 = two ^ twos_c;
-            const Word fours_b = (two & twos_c) | (u2 & twos_d);
-            two = u2 ^ twos_d;
-            const Word u3 = fours[k] ^ fours_a;
-            const Word carry = (fours[k] & fours_a) | (u3 & fours_b);
-            fours[k] = u3 ^ fours_b;
-            ones[k] = one;
-            twos[k] = two;
-            ripple<Planes>(planes[k], 3, carry);
-        }
-    }
-    for (; r < n_rows; ++r) {
-        for (std::size_t k = 0; k < kBlockWords; ++k) {
-            const Word x = bound(r, k);
-            const Word c1 = ones[k] & x;
-            ones[k] ^= x;
-            const Word c2 = twos[k] & c1;
-            twos[k] ^= c1;
-            const Word c3 = fours[k] & c2;
-            fours[k] ^= c2;
-            ripple<Planes>(planes[k], 3, c3);
-        }
-    }
-    for (std::size_t k = 0; k < kBlockWords; ++k) {
-        ripple<Planes>(planes[k], 0, ones[k]);
-        ripple<Planes>(planes[k], 1, twos[k]);
-        ripple<Planes>(planes[k], 2, fours[k]);
-    }
+                      Block (&planes)[Planes]) noexcept {
+    const csa_tree::Rows slice{rows.feature_blocks + b * rows.n_rows * kBlockWords,
+                               rows.value_blocks + b * rows.n_levels * kBlockWords, levels};
+    csa_tree::accumulate<BlockLanes, kTreeDepth>(slice, rows.n_rows, planes);
 }
 
 /// The fused kernel over every block, bit_width(n_rows) == Planes.
@@ -200,7 +171,7 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
     const bool can_tie = (rows.n_rows % 2) == 0 && ties != nullptr;
     const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
     for (std::size_t b = 0; b < n_blocks; ++b) {
-        Word planes[kBlockWords][Planes];
+        Block planes[Planes];
         accumulate_block<Planes>(rows, levels, b, planes);
         const std::size_t w0 = b * kBlockWords;
         const std::size_t n_valid = std::min(kBlockWords, rows.n_words - w0);
@@ -213,8 +184,8 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
             Word eq = ~Word{0};
             for (std::size_t p = Planes; p-- > 0;) {
                 const Word t = ((threshold >> p) & 1u) != 0 ? ~Word{0} : Word{0};
-                gt |= eq & planes[k][p] & ~t;
-                eq &= ~(planes[k][p] ^ t);
+                gt |= eq & planes[p].w[k] & ~t;
+                eq &= ~(planes[p].w[k] ^ t);
             }
             Word query = gt;
             if (can_tie && eq != 0) query |= ties(tie_ctx, eq, w0 + k) & eq;
@@ -227,18 +198,23 @@ void fused_blocks(const BlockMajorRows& rows, const int* levels, const Word* con
 }
 
 /// The counts kernel over every block, bit_width(n_rows) == Planes: the
-/// shared accumulate, then the block's real words unpacked.
+/// shared accumulate, then the block's real words unpacked from a
+/// word-major copy of the planes.
 template <std::size_t Planes>
 void count_blocks(const BlockMajorRows& rows, const int* levels, std::int32_t* counts) noexcept {
     const std::size_t n_blocks = (rows.n_words + kBlockWords - 1) / kBlockWords;
     for (std::size_t b = 0; b < n_blocks; ++b) {
-        Word planes[kBlockWords][Planes];
+        Block planes[Planes];
         accumulate_block<Planes>(rows, levels, b, planes);
+        Word word_major[kBlockWords * Planes];
+        for (std::size_t k = 0; k < kBlockWords; ++k) {
+            for (std::size_t p = 0; p < Planes; ++p) word_major[k * Planes + p] = planes[p].w[k];
+        }
         const std::size_t w0 = b * kBlockWords;
         const std::size_t n_valid = std::min(kBlockWords, rows.n_words - w0);
         std::int32_t* out = counts + w0 * 64;
         std::fill(out, out + n_valid * 64, 0);
-        unpack_planes(&planes[0][0], n_valid, Planes, out);
+        unpack_planes(word_major, n_valid, Planes, out);
     }
 }
 

@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include "util/csa_tree.hpp"
+
 namespace hdlock::util::kernels {
 
 namespace {
@@ -298,15 +300,22 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
 }
 
-/// Ripples a weight-2^Start carry through planes [Start, Planes).
-template <std::size_t Start, std::size_t Planes>
-void ripple(__m256i (&planes)[Planes], __m256i carry) noexcept {
-    for (std::size_t p = Start; p < Planes; ++p) {
-        const __m256i sum = _mm256_xor_si256(planes[p], carry);
-        carry = _mm256_and_si256(planes[p], carry);
-        planes[p] = sum;
+struct Lanes {
+    using V = __m256i;
+    static __m256i load(const Word* p) noexcept {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
     }
-}
+    static __m256i zero() noexcept { return _mm256_setzero_si256(); }
+    static __m256i bit_xor(__m256i a, __m256i b) noexcept { return _mm256_xor_si256(a, b); }
+    static __m256i bit_and(__m256i a, __m256i b) noexcept { return _mm256_and_si256(a, b); }
+    static __m256i sum(__m256i a, __m256i b, __m256i c) noexcept { return csa_sum(a, b, c); }
+    static __m256i carry(__m256i a, __m256i b, __m256i c) noexcept { return csa_carry(a, b, c); }
+};
+
+/// Carry-save tree depth: 16-row groups.  One half's count planes already
+/// fill most of the 16 ymm registers, so a deeper tree's accumulators only
+/// spill further; 16 timed fastest of depths 3-6 (DESIGN.md §11).
+constexpr std::size_t kTreeDepth = 4;
 
 /// The accumulate both block-major kernels share, bit_width(n_rows) ==
 /// Planes: folds one half (four words, at word offset `half_offset` within
@@ -319,59 +328,10 @@ template <std::size_t Planes>
 [[gnu::always_inline]] inline void accumulate_half(const BlockMajorRows& rows, const int* levels,
                                                    std::size_t b, std::size_t half_offset,
                                                    __m256i (&planes)[Planes]) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + half_offset;
-    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + half_offset;
-    const auto bound = [&](std::size_t r) {
-        const __m256i f =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(feature + r * kBlockWords));
-        const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            value + static_cast<std::size_t>(levels[r]) * kBlockWords));
-        return _mm256_xor_si256(f, v);
-    };
-    for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm256_setzero_si256();
-    __m256i ones = _mm256_setzero_si256();
-    __m256i twos = _mm256_setzero_si256();
-    __m256i fours = _mm256_setzero_si256();
-    std::size_t r = 0;
-    for (; r + 8 <= n_rows; r += 8) {
-        const __m256i x0 = bound(r + 0);
-        const __m256i x1 = bound(r + 1);
-        const __m256i twos_a = csa_carry(ones, x0, x1);
-        ones = csa_sum(ones, x0, x1);
-        const __m256i x2 = bound(r + 2);
-        const __m256i x3 = bound(r + 3);
-        const __m256i twos_b = csa_carry(ones, x2, x3);
-        ones = csa_sum(ones, x2, x3);
-        const __m256i fours_a = csa_carry(twos, twos_a, twos_b);
-        twos = csa_sum(twos, twos_a, twos_b);
-        const __m256i x4 = bound(r + 4);
-        const __m256i x5 = bound(r + 5);
-        const __m256i twos_c = csa_carry(ones, x4, x5);
-        ones = csa_sum(ones, x4, x5);
-        const __m256i x6 = bound(r + 6);
-        const __m256i x7 = bound(r + 7);
-        const __m256i twos_d = csa_carry(ones, x6, x7);
-        ones = csa_sum(ones, x6, x7);
-        const __m256i fours_b = csa_carry(twos, twos_c, twos_d);
-        twos = csa_sum(twos, twos_c, twos_d);
-        const __m256i carry = csa_carry(fours, fours_a, fours_b);
-        fours = csa_sum(fours, fours_a, fours_b);
-        ripple<3>(planes, carry);
-    }
-    for (; r < n_rows; ++r) {
-        const __m256i x = bound(r);
-        const __m256i c1 = _mm256_and_si256(ones, x);
-        ones = _mm256_xor_si256(ones, x);
-        const __m256i c2 = _mm256_and_si256(twos, c1);
-        twos = _mm256_xor_si256(twos, c1);
-        const __m256i c3 = _mm256_and_si256(fours, c2);
-        fours = _mm256_xor_si256(fours, c2);
-        ripple<3>(planes, c3);
-    }
-    ripple<0>(planes, ones);
-    ripple<1>(planes, twos);
-    ripple<2>(planes, fours);
+    const csa_tree::Rows slice{
+        rows.feature_blocks + b * rows.n_rows * kBlockWords + half_offset,
+        rows.value_blocks + b * rows.n_levels * kBlockWords + half_offset, levels};
+    csa_tree::accumulate<Lanes, kTreeDepth>(slice, rows.n_rows, planes);
 }
 
 /// The fused kernel over every block, bit_width(n_rows) == Planes, low half

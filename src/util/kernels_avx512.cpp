@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include "util/csa_tree.hpp"
+
 // GCC's avx512fintrin.h implements unmasked intrinsics (srlv & friends) by
 // passing _mm512_undefined_epi32() as the masked-out source operand, which
 // trips -Wuninitialized/-Wmaybe-uninitialized under -Wall (GCC PR105593).
@@ -267,78 +269,37 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
 }
 
-/// Ripples a weight-2^Start carry through planes [Start, Planes).
-template <std::size_t Start, std::size_t Planes>
-void ripple(__m512i (&planes)[Planes], __m512i carry) noexcept {
-    for (std::size_t p = Start; p < Planes; ++p) {
-        const __m512i sum = _mm512_xor_si512(planes[p], carry);
-        carry = _mm512_and_si512(planes[p], carry);
-        planes[p] = sum;
-    }
-}
+struct Lanes {
+    using V = __m512i;
+    static __m512i load(const Word* p) noexcept { return _mm512_loadu_si512(p); }
+    static __m512i zero() noexcept { return _mm512_setzero_si512(); }
+    static __m512i bit_xor(__m512i a, __m512i b) noexcept { return _mm512_xor_si512(a, b); }
+    static __m512i bit_and(__m512i a, __m512i b) noexcept { return _mm512_and_si512(a, b); }
+    static __m512i sum(__m512i a, __m512i b, __m512i c) noexcept { return csa_sum(a, b, c); }
+    static __m512i carry(__m512i a, __m512i b, __m512i c) noexcept { return csa_carry(a, b, c); }
+};
+
+/// Carry-save tree depth: 16-row groups, about 3.6 vector ops per row at
+/// N = 784 (one bind XOR, a vpternlogq pair per CSA, the ripple amortized
+/// over 16 rows).  Deeper trees save a few more ops per row but unroll into
+/// twice the code or more; at N = 784 they tied 16-row groups, at N = 75
+/// they were slower by up to a quarter (DESIGN.md §11).
+constexpr std::size_t kTreeDepth = 4;
 
 /// The accumulate both block-major kernels share, bit_width(n_rows) ==
 /// Planes: folds block b's bound rows into the count planes (planes[p] is
 /// bit p of the block's 512 column counts).  One block is one zmm per row:
-/// with Planes a compile-time constant the count planes, ones/twos/fours
-/// and the CSA temps stay in the 32-register file (the ripple loops
-/// unroll), and the rows stream in layout order.  Always inlined, so the
-/// planes never leave the registers on their way to a kernel's epilogue.
+/// with Planes a compile-time constant the count planes, the tree's
+/// accumulators and its temps stay in the register file, and the rows
+/// stream in layout order.  Always inlined, so the planes never leave the
+/// registers on their way to a kernel's epilogue.
 template <std::size_t Planes>
 [[gnu::always_inline]] inline void accumulate_block(const BlockMajorRows& rows, const int* levels,
                                                     std::size_t b,
                                                     __m512i (&planes)[Planes]) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords;
-    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords;
-    const auto bound = [&](std::size_t r) {
-        return _mm512_xor_si512(
-            _mm512_loadu_si512(feature + r * kBlockWords),
-            _mm512_loadu_si512(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
-    };
-    for (std::size_t p = 0; p < Planes; ++p) planes[p] = _mm512_setzero_si512();
-    __m512i ones = _mm512_setzero_si512();
-    __m512i twos = _mm512_setzero_si512();
-    __m512i fours = _mm512_setzero_si512();
-    std::size_t r = 0;
-    for (; r + 8 <= n_rows; r += 8) {
-        const __m512i x0 = bound(r + 0);
-        const __m512i x1 = bound(r + 1);
-        const __m512i twos_a = csa_carry(ones, x0, x1);
-        ones = csa_sum(ones, x0, x1);
-        const __m512i x2 = bound(r + 2);
-        const __m512i x3 = bound(r + 3);
-        const __m512i twos_b = csa_carry(ones, x2, x3);
-        ones = csa_sum(ones, x2, x3);
-        const __m512i fours_a = csa_carry(twos, twos_a, twos_b);
-        twos = csa_sum(twos, twos_a, twos_b);
-        const __m512i x4 = bound(r + 4);
-        const __m512i x5 = bound(r + 5);
-        const __m512i twos_c = csa_carry(ones, x4, x5);
-        ones = csa_sum(ones, x4, x5);
-        const __m512i x6 = bound(r + 6);
-        const __m512i x7 = bound(r + 7);
-        const __m512i twos_d = csa_carry(ones, x6, x7);
-        ones = csa_sum(ones, x6, x7);
-        const __m512i fours_b = csa_carry(twos, twos_c, twos_d);
-        twos = csa_sum(twos, twos_c, twos_d);
-        const __m512i carry = csa_carry(fours, fours_a, fours_b);
-        fours = csa_sum(fours, fours_a, fours_b);
-        ripple<3>(planes, carry);
-    }
-    for (; r < n_rows; ++r) {
-        const __m512i x = bound(r);
-        const __m512i c1 = _mm512_and_si512(ones, x);
-        ones = _mm512_xor_si512(ones, x);
-        const __m512i c2 = _mm512_and_si512(twos, c1);
-        twos = _mm512_xor_si512(twos, c1);
-        const __m512i c3 = _mm512_and_si512(fours, c2);
-        fours = _mm512_xor_si512(fours, c2);
-        ripple<3>(planes, c3);
-    }
-    ripple<0>(planes, ones);
-    ripple<1>(planes, twos);
-    ripple<2>(planes, fours);
+    const csa_tree::Rows slice{rows.feature_blocks + b * rows.n_rows * kBlockWords,
+                               rows.value_blocks + b * rows.n_levels * kBlockWords, levels};
+    csa_tree::accumulate<Lanes, kTreeDepth>(slice, rows.n_rows, planes);
 }
 
 /// Real words of block b (the last block may be partial).

@@ -18,6 +18,8 @@
 
 #include <arm_neon.h>
 
+#include "util/csa_tree.hpp"
+
 namespace hdlock::util::kernels {
 
 namespace {
@@ -255,78 +257,40 @@ void csa_rows(Word* ones, Word* twos, Word* fours, Word* carry_out, const Word* 
     detail::csa_rows_words(ones, twos, fours, carry_out, rows, w, n);
 }
 
-/// Ripples a weight-2^Start carry through planes [Start, Planes).
-template <std::size_t Start, std::size_t Planes>
-void ripple(uint64x2_t (&planes)[Planes], uint64x2_t carry) noexcept {
-    for (std::size_t p = Start; p < Planes; ++p) {
-        const uint64x2_t sum = veorq_u64(planes[p], carry);
-        carry = vandq_u64(planes[p], carry);
-        planes[p] = sum;
+struct Lanes {
+    using V = uint64x2_t;
+    static uint64x2_t load(const Word* p) noexcept { return vld1q_u64(p); }
+    static uint64x2_t zero() noexcept { return vdupq_n_u64(0); }
+    static uint64x2_t bit_xor(uint64x2_t a, uint64x2_t b) noexcept { return veorq_u64(a, b); }
+    static uint64x2_t bit_and(uint64x2_t a, uint64x2_t b) noexcept { return vandq_u64(a, b); }
+    static uint64x2_t sum(uint64x2_t a, uint64x2_t b, uint64x2_t c) noexcept {
+        return csa_sum(a, b, c);
     }
-}
+    static uint64x2_t carry(uint64x2_t a, uint64x2_t b, uint64x2_t c) noexcept {
+        return csa_carry(a, b, c);
+    }
+};
+
+/// Carry-save tree depth: 16-row groups, the x86 backends' choice (no
+/// aarch64 host has timed the alternatives).
+constexpr std::size_t kTreeDepth = 4;
 
 /// The accumulate both block-major kernels share, bit_width(n_rows) ==
 /// Planes: folds one quarter (two words, at word offset `quarter_offset`
 /// within the block) of block b's bound rows into the count planes.  A
 /// 512-bit block is four q-register quarters; one quarter's 16 count
-/// planes, ones/twos/fours and CSA temps fit the 32-register file, so each
-/// block is walked once per quarter.  Always inlined, so the planes never
-/// leave the registers on their way to an epilogue.
+/// planes, the tree's accumulators and temps fit the 32-register file, so
+/// each block is walked once per quarter.  Always inlined, so the planes
+/// never leave the registers on their way to an epilogue.
 template <std::size_t Planes>
 [[gnu::always_inline]] inline void accumulate_quarter(const BlockMajorRows& rows,
                                                       const int* levels, std::size_t b,
                                                       std::size_t quarter_offset,
                                                       uint64x2_t (&planes)[Planes]) noexcept {
-    const std::size_t n_rows = rows.n_rows;
-    const Word* feature = rows.feature_blocks + b * n_rows * kBlockWords + quarter_offset;
-    const Word* value = rows.value_blocks + b * rows.n_levels * kBlockWords + quarter_offset;
-    const auto bound = [&](std::size_t r) {
-        return veorq_u64(vld1q_u64(feature + r * kBlockWords),
-                         vld1q_u64(value + static_cast<std::size_t>(levels[r]) * kBlockWords));
-    };
-    for (std::size_t p = 0; p < Planes; ++p) planes[p] = vdupq_n_u64(0);
-    uint64x2_t ones = vdupq_n_u64(0);
-    uint64x2_t twos = vdupq_n_u64(0);
-    uint64x2_t fours = vdupq_n_u64(0);
-    std::size_t r = 0;
-    for (; r + 8 <= n_rows; r += 8) {
-        const uint64x2_t x0 = bound(r + 0);
-        const uint64x2_t x1 = bound(r + 1);
-        const uint64x2_t twos_a = csa_carry(ones, x0, x1);
-        ones = csa_sum(ones, x0, x1);
-        const uint64x2_t x2 = bound(r + 2);
-        const uint64x2_t x3 = bound(r + 3);
-        const uint64x2_t twos_b = csa_carry(ones, x2, x3);
-        ones = csa_sum(ones, x2, x3);
-        const uint64x2_t fours_a = csa_carry(twos, twos_a, twos_b);
-        twos = csa_sum(twos, twos_a, twos_b);
-        const uint64x2_t x4 = bound(r + 4);
-        const uint64x2_t x5 = bound(r + 5);
-        const uint64x2_t twos_c = csa_carry(ones, x4, x5);
-        ones = csa_sum(ones, x4, x5);
-        const uint64x2_t x6 = bound(r + 6);
-        const uint64x2_t x7 = bound(r + 7);
-        const uint64x2_t twos_d = csa_carry(ones, x6, x7);
-        ones = csa_sum(ones, x6, x7);
-        const uint64x2_t fours_b = csa_carry(twos, twos_c, twos_d);
-        twos = csa_sum(twos, twos_c, twos_d);
-        const uint64x2_t carry = csa_carry(fours, fours_a, fours_b);
-        fours = csa_sum(fours, fours_a, fours_b);
-        ripple<3>(planes, carry);
-    }
-    for (; r < n_rows; ++r) {
-        const uint64x2_t x = bound(r);
-        const uint64x2_t c1 = vandq_u64(ones, x);
-        ones = veorq_u64(ones, x);
-        const uint64x2_t c2 = vandq_u64(twos, c1);
-        twos = veorq_u64(twos, c1);
-        const uint64x2_t c3 = vandq_u64(fours, c2);
-        fours = veorq_u64(fours, c2);
-        ripple<3>(planes, c3);
-    }
-    ripple<0>(planes, ones);
-    ripple<1>(planes, twos);
-    ripple<2>(planes, fours);
+    const csa_tree::Rows slice{
+        rows.feature_blocks + b * rows.n_rows * kBlockWords + quarter_offset,
+        rows.value_blocks + b * rows.n_levels * kBlockWords + quarter_offset, levels};
+    csa_tree::accumulate<Lanes, kTreeDepth>(slice, rows.n_rows, planes);
 }
 
 /// The fused kernel over every block, bit_width(n_rows) == Planes, one

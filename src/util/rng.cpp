@@ -8,6 +8,9 @@ namespace hdlock::util {
 
 namespace {
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
 }
@@ -69,10 +72,23 @@ double Xoshiro256ss::next_normal() noexcept {
 }
 
 std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t hash = kFnvOffset;
     for (const std::byte b : bytes) {
         hash ^= static_cast<std::uint64_t>(b);
-        hash *= 0x100000001b3ULL;
+        hash *= kFnvPrime;
+    }
+    return hash;
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "fnv1a_of_small assumes each int's low byte comes first");
+
+std::uint64_t fnv1a_of_small(std::span<const int> values) noexcept {
+    constexpr std::uint64_t kPrime4 = kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
+    std::uint64_t hash = kFnvOffset;
+    for (const int value : values) {
+        hash ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(value));
+        hash *= kPrime4;
     }
     return hash;
 }

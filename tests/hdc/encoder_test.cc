@@ -9,10 +9,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <vector>
 
 #include "util/kernels.hpp"
+#include "util/rng.hpp"
 #include "util/sync.hpp"
 
 using hdlock::ContractViolation;
@@ -311,6 +313,47 @@ TEST(EncoderFused, TieDrawsMatchSignIntoOnEvenFeatureCounts) {
         }
     }
     EXPECT_GT(tied_columns, 0u) << "test shape never tied; tie parity untested";
+}
+
+// The tie seed hashes the level vector at a four-byte stride when every
+// level fits a byte (n_levels <= 256) and bytewise past that; both must
+// seed the generator fnv1a_of(levels) always seeded, with the top level
+// present so the widest in-range byte is hashed.  Odd feature counts skip
+// the seed on the fused path (no sum can be zero) and must still score
+// exactly like encode_binary + Hamming.
+TEST(EncoderTieSeed, MatchesBytewiseFnv1a) {
+    namespace util = hdlock::util;
+    const std::size_t dim = 640;
+    for (const std::size_t n_levels : {2, 16, 256, 257}) {
+        for (const std::size_t n_features : {75, 784}) {
+            const RecordEncoder encoder(make_memory(dim, n_features, n_levels, 41),
+                                        /*tie_seed=*/n_levels);
+            util::Xoshiro256ss rng(n_levels * 1000 + n_features);
+            std::vector<BinaryHV> class_hvs{BinaryHV::random(dim, rng), BinaryHV::random(dim, rng)};
+            for (std::uint64_t trial = 0; trial < 4; ++trial) {
+                auto levels = random_levels(n_features, n_levels, 31 * trial + n_features);
+                levels[trial] = static_cast<int>(n_levels - 1);
+                const std::span<const int> view(levels);
+                if (n_levels <= 256) {
+                    EXPECT_EQ(util::fnv1a_of_small(view), util::fnv1a_of(view));
+                }
+                util::Xoshiro256ss expected(util::hash_mix(encoder.tie_seed(), util::fnv1a_of(view)));
+                util::Xoshiro256ss actual = encoder.tie_rng(levels);
+                for (int draw = 0; draw < 4; ++draw) {
+                    EXPECT_EQ(actual(), expected())
+                        << "levels=" << n_levels << " N=" << n_features << " trial=" << trial;
+                }
+                const BinaryHV query = encoder.encode_binary(levels);
+                std::vector<std::uint64_t> want;
+                for (const auto& hv : class_hvs) want.push_back(hv.hamming(query));
+                hdlock::hdc::EncoderScratch scratch;
+                std::vector<std::uint64_t> distances(class_hvs.size(), 0);
+                encoder.fused_hamming_into(levels, scratch, class_hvs, distances);
+                EXPECT_EQ(distances, want)
+                    << "levels=" << n_levels << " N=" << n_features << " trial=" << trial;
+            }
+        }
+    }
 }
 
 // The block-major layout is built lazily, once per encoder object: never by

@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "attack/ip_theft.hpp"
 #include "attack/locked_theft.hpp"
@@ -23,7 +26,11 @@ namespace fs = std::filesystem;
 
 class ScratchDir {
 public:
-    ScratchDir() : dir_(fs::temp_directory_path() / "hdlock_failure_injection") {
+    // One directory per process: ctest runs each test as its own process,
+    // in parallel, and a shared directory would be removed under a sibling.
+    ScratchDir()
+        : dir_(fs::temp_directory_path() /
+               ("hdlock_failure_injection_" + std::to_string(::getpid()))) {
         fs::create_directories(dir_);
     }
     ~ScratchDir() { fs::remove_all(dir_); }

@@ -19,6 +19,7 @@
 
 #include "util/bitslice.hpp"
 #include "util/bitvec.hpp"
+#include "util/csa_tree.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
@@ -468,25 +469,27 @@ FusedInputs random_fused_inputs(std::size_t n_rows, std::size_t n_levels, std::s
     return inputs;
 }
 
-/// Independent scalar re-implementation of the fused contract over the
-/// row-major inputs: majority of per-column counts of the bound rows (ties
-/// at exactly n/2 for even n resolved by `ties`), then per-class Hamming
-/// against the implied query.
-std::vector<std::uint64_t> fused_reference(const FusedInputs& inputs,
-                                           const std::vector<std::vector<Word>>& classes,
-                                           kernels::TieResolver ties, void* tie_ctx) {
-    const std::size_t n = inputs.features.size();
+/// Adds bound row r's bits to the per-column counts (column 64 w + bit).
+void add_reference_row(const FusedInputs& inputs, std::size_t r, std::vector<std::size_t>& counts) {
+    const auto level = static_cast<std::size_t>(inputs.levels[r]);
+    for (std::size_t j = 0; j < inputs.n_words * 64; ++j) {
+        const Word x = inputs.features[r][j / 64] ^ inputs.values[level][j / 64];
+        counts[j] += (x >> (j % 64)) & 1u;
+    }
+}
+
+/// The distances implied by n rows' per-column counts.
+std::vector<std::uint64_t> distances_from_counts(const std::vector<std::size_t>& counts,
+                                                 std::size_t n,
+                                                 const std::vector<std::vector<Word>>& classes,
+                                                 kernels::TieResolver ties, void* tie_ctx) {
+    const std::size_t n_words = counts.size() / 64;
     std::vector<std::uint64_t> distances(classes.size(), 0);
-    for (std::size_t w = 0; w < inputs.n_words; ++w) {
+    for (std::size_t w = 0; w < n_words; ++w) {
         Word query = 0;
         Word eq = 0;
         for (std::size_t bit = 0; bit < 64; ++bit) {
-            std::size_t count = 0;
-            for (std::size_t r = 0; r < n; ++r) {
-                const auto level = static_cast<std::size_t>(inputs.levels[r]);
-                const Word x = inputs.features[r][w] ^ inputs.values[level][w];
-                count += (x >> bit) & 1u;
-            }
+            const std::size_t count = counts[w * 64 + bit];
             if (count > n / 2) {
                 query |= Word{1} << bit;
             } else if (n % 2 == 0 && count == n / 2) {
@@ -499,6 +502,31 @@ std::vector<std::uint64_t> fused_reference(const FusedInputs& inputs,
         }
     }
     return distances;
+}
+
+/// Independent scalar re-implementation of the fused contract over the
+/// row-major inputs: majority of per-column counts of the bound rows (ties
+/// at exactly n/2 for even n resolved by `ties`), then per-class Hamming
+/// against the implied query.
+std::vector<std::uint64_t> fused_reference(const FusedInputs& inputs,
+                                           const std::vector<std::vector<Word>>& classes,
+                                           kernels::TieResolver ties, void* tie_ctx) {
+    std::vector<std::size_t> counts(inputs.n_words * 64, 0);
+    for (std::size_t r = 0; r < inputs.features.size(); ++r) add_reference_row(inputs, r, counts);
+    return distances_from_counts(counts, inputs.features.size(), classes, ties, tie_ctx);
+}
+
+/// Sets every padded word of the packed layout's last block to all ones.
+void dirty_padding(FusedInputs& inputs) {
+    const std::size_t tail = inputs.n_words % kernels::kBlockWords;
+    if (tail == 0) return;
+    const std::size_t n_rows = inputs.features.size();
+    const std::size_t last = inputs.n_words / kernels::kBlockWords;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        Word* block =
+            inputs.feature_blocks.data() + (last * n_rows + r) * kernels::kBlockWords;
+        std::fill(block + tail, block + kernels::kBlockWords, ~Word{0});
+    }
 }
 
 /// Class rows exactly n_words long (no slack a vector read past the end
@@ -790,15 +818,7 @@ TEST(Kernels, BlockMajorCountsMatchesReferenceAcrossBackends) {
                 }
             }
             kernels::BlockMajorRows rows = inputs.pack();
-            const std::size_t tail = n_words % kernels::kBlockWords;
-            if (tail != 0) {
-                const std::size_t last = n_words / kernels::kBlockWords;
-                for (std::size_t r = 0; r < n_rows; ++r) {
-                    Word* block = inputs.feature_blocks.data() +
-                                  (last * n_rows + r) * kernels::kBlockWords;
-                    std::fill(block + tail, block + kernels::kBlockWords, ~Word{0});
-                }
-            }
+            dirty_padding(inputs);
             for (const KernelBackend* backend : backends) {
                 std::vector<std::int32_t> counts(n_words * 64 + 64, kSentinel);
                 backend->block_major_counts(rows, inputs.levels.data(), counts.data());
@@ -809,6 +829,53 @@ TEST(Kernels, BlockMajorCountsMatchesReferenceAcrossBackends) {
                                         [](std::int32_t c) { return c == kSentinel; }))
                     << backend->name << " wrote past the counts, rows=" << n_rows
                     << " words=" << n_words;
+            }
+        }
+    }
+}
+
+// Every subtree tail of every backend's carry-save tree: each row count
+// from 1 to three full groups of the deepest tree (3 << kMaxDepth), so each
+// backend runs every remainder shape its depth leaves, through both
+// block-major kernels, at one word, one block plus a word and D = 10048,
+// with dirty padding in the last block.  The rows are prefixes of one
+// input set, so the reference counts grow a row at a time.
+TEST(Kernels, BlockMajorKernelsRunEveryTreeTail) {
+    Xoshiro256ss rng(107);
+    const std::size_t max_rows = std::size_t{3} << kernels::csa_tree::kMaxDepth;
+    std::vector<const KernelBackend*> backends = simd_backends();
+    backends.push_back(&kernels::portable_backend());
+    for (const std::size_t n_words : {std::size_t{1}, std::size_t{9}, std::size_t{157}}) {
+        const FusedInputs all = random_fused_inputs(max_rows, 4, n_words, rng);
+        const ClassRows classes(3, n_words, rng);
+        std::vector<std::size_t> expected_counts(n_words * 64, 0);
+        for (std::size_t n_rows = 1; n_rows <= max_rows; ++n_rows) {
+            add_reference_row(all, n_rows - 1, expected_counts);
+            FusedInputs inputs;
+            inputs.n_words = n_words;
+            inputs.values = all.values;
+            inputs.features.assign(all.features.begin(),
+                                   all.features.begin() + static_cast<std::ptrdiff_t>(n_rows));
+            inputs.levels.assign(all.levels.begin(),
+                                 all.levels.begin() + static_cast<std::ptrdiff_t>(n_rows));
+            const kernels::BlockMajorRows rows = inputs.pack();
+            dirty_padding(inputs);
+            const auto expected = distances_from_counts(expected_counts, n_rows, classes.rows,
+                                                        &pattern_ties, nullptr);
+            for (const KernelBackend* backend : backends) {
+                std::vector<std::int32_t> counts(n_words * 64, -1);
+                backend->block_major_counts(rows, inputs.levels.data(), counts.data());
+                EXPECT_TRUE(std::equal(counts.begin(), counts.end(), expected_counts.begin(),
+                                       [](std::int32_t c, std::size_t e) {
+                                           return c >= 0 && static_cast<std::size_t>(c) == e;
+                                       }))
+                    << backend->name << " rows=" << n_rows << " words=" << n_words;
+                std::vector<std::uint64_t> distances(classes.rows.size(), ~std::uint64_t{0});
+                backend->fused_hamming_scores(rows, inputs.levels.data(), classes.ptrs.data(),
+                                              classes.rows.size(), &pattern_ties, nullptr,
+                                              distances.data());
+                EXPECT_EQ(distances, expected)
+                    << backend->name << " rows=" << n_rows << " words=" << n_words;
             }
         }
     }
